@@ -3,8 +3,10 @@
 #
 #   ci.sh quick   fmt + vet + build + full tests (the tier-1 gate)
 #   ci.sh chaos   the fault-injection and crash-recovery suite under the
-#                 race detector: every failpoint armed, a worker process
-#                 SIGKILLed mid-job, journal recovery replayed
+#                 race detector: every failpoint armed, each hit of the
+#                 journal/claim/persist failpoints failed in turn, a
+#                 server process SIGKILLed mid-job, journal recovery
+#                 replayed
 #   ci.sh fleet   the multi-process worker tier: fleet package tests
 #                 (autoscaler tables, coordinator SIGKILL chaos) under
 #                 -race, then a live 3-worker cluster driven by
@@ -128,25 +130,28 @@ fi
 
 if [ "$tier" = chaos ] || [ "$tier" = full ]; then
     echo "== chaos tier: fault injection + crash recovery under -race =="
-    # The durable-execution invariants (ISSUE: crash-recoverable queue,
-    # lease-based retry, breakers): failpoints at every store write and
-    # the trace decoder, a SIGKILLed worker subprocess, journal recovery
-    # replayed from snapshots — all under the race detector.
+    # The durable-execution invariants (crash-recoverable queue, claim
+    # leases, retry, breakers): failpoints at every store write and the
+    # trace decoder, the crash-point suite (TestChaosCrashPoints), a
+    # SIGKILLed server subprocess, journal recovery replayed from
+    # snapshots and from the pre-claim record format, a live foreign
+    # claim taken over only after it lapses — all under the race detector.
     go test -race ./internal/fault/...
-    go test -race -run 'Chaos|Journal|Fault|Breaker|Failpoint|Sweep' \
+    go test -race -run 'Chaos|CrashPoint|Journal|Fault|Breaker|Failpoint|Sweep' \
         ./internal/serve/... ./internal/fsutil/... \
         ./internal/stream/... ./internal/results/... ./internal/policy/...
 fi
 
 if [ "$tier" = fleet ]; then
     echo "== fleet tier: worker processes, autoscaler, claim protocol under -race =="
-    # The fleet invariants (ISSUE: sharded simulation fleet): the
-    # table-driven autoscaler policy, the coordinator SIGKILLing a real
-    # worker subprocess mid-job with requeue-to-survivor and
-    # no-duplicate-simulation proofs, and the multi-worker journal
-    # contention sweep — all under the race detector.
+    # The fleet invariants: the table-driven autoscaler policy, a real
+    # worker subprocess SIGKILLed mid-job with requeue-to-survivor and
+    # no-duplicate-simulation proofs, the multi-worker journal contention
+    # sweep, the claim-protocol recovery tests and the crash-point suite
+    # (a server and an extra worker sharing one journal) — all under the
+    # race detector.
     go test -race ./internal/fleet/...
-    go test -race -run 'MultiWorker|Claim|Renew|Reap|OwnerID|WorkerHeartbeat|FleetJournal' ./internal/serve/...
+    go test -race -run 'MultiWorker|Claim|Renew|Reap|OwnerID|WorkerHeartbeat|FleetJournal|Journal|CrashPoint|DispatchQueue' ./internal/serve/...
 
     echo "== fleet smoke (3-worker cluster survives a SIGKILL mid-storm) =="
     # Boot a real fleet — dispatch frontend plus three worker processes

@@ -10,6 +10,7 @@
 //	pythia-serve -addr :8080 -journal /var/lib/pythia/journal
 //	pythia-serve -addr :8080 -journal /var/lib/pythia/journal -fleet 4
 //	pythia-serve -worker -journal /var/lib/pythia/journal
+//	pythia-serve -status http://localhost:8080
 //
 // API (v1; see DESIGN.md "API v1" and the typed client in internal/api):
 //
@@ -50,8 +51,8 @@
 // -log-json switches them to JSON, -log-level debug|info|warn|error
 // filters them.
 //
-// Training jobs flow through the same queue and SSE machinery as
-// experiments; a repeat training request for a policy already in the
+// Training jobs flow through the same journal, claims and SSE machinery
+// as experiments; a repeat training request for a policy already in the
 // store completes with zero simulations (the job's sims counter proves
 // it), and warm-started evaluations reuse stored policies the same way.
 //
@@ -66,22 +67,25 @@
 // a graceful shutdown — admission closes, queued jobs drain, and after
 // the grace period whatever is still running is canceled.
 //
-// With -journal set, every accepted job is also persisted to a
-// crash-recovery journal: a killed or crashed process requeues its
-// queued and orphaned-running jobs on the next start (at-least-once
-// execution — the content-addressed stores make re-execution
-// idempotent). Transient store failures are retried with jittered
-// backoff; a persistently failing store opens a circuit breaker that
-// sheds new simulation jobs with 503 + Retry-After while store hits
-// keep being served (degraded read-only mode, visible in /healthz).
+// Every accepted job is journaled, and a worker runs it under a claim
+// file that carries its lease. By default the journal is a temp dir and
+// the one worker a goroutine of this process. With -journal the journal
+// survives: a killed or crashed process requeues its queued and
+// orphaned-running jobs on the next start (at-least-once execution —
+// the content-addressed stores make re-execution idempotent). Transient
+// store failures are retried with jittered backoff; a persistently
+// failing store opens a circuit breaker that sheds new simulation jobs
+// with 503 + Retry-After while store hits keep being served (degraded
+// read-only mode, visible in /healthz).
 //
-// Fleet mode (-fleet N, requires -journal) turns this process into a
-// stateless frontend plus a coordinator that autoscales up to N worker
-// processes (this same binary re-exec'd with -worker). The frontend
-// journals admissions and serves the API; workers claim and execute
-// jobs through the shared journal's lease protocol; the coordinator
-// reaps dead workers' claims so their jobs requeue. -fleet-min 0 (the
-// default) scales to zero when idle. See DESIGN.md "Fleet architecture".
+// Fleet mode (-fleet N, requires -journal) makes the workers processes:
+// this process becomes a stateless frontend plus a coordinator that
+// autoscales up to N workers (this same binary re-exec'd with -worker).
+// The frontend journals admissions, serves the API and reaps the claims
+// of dead workers so their jobs requeue; workers claim and execute jobs
+// through the shared journal. -fleet-min 0 (the default) scales to zero
+// when idle. -status URL prints a running frontend's fleet snapshot and
+// exits. See DESIGN.md "Fleet architecture".
 package main
 
 import (
@@ -94,10 +98,12 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
+	"sort"
 	"strconv"
 	"syscall"
 	"time"
 
+	"pythia/internal/api"
 	"pythia/internal/fleet"
 	"pythia/internal/harness"
 	"pythia/internal/obs"
@@ -114,7 +120,7 @@ func main() {
 		queue    = flag.Int("queue", 16, "max queued (admitted but unstarted) jobs")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations per job (0 = all CPUs)")
 		grace    = flag.Duration("grace", 30*time.Second, "graceful-shutdown budget for draining queued jobs before canceling them")
-		journal  = flag.String("journal", "", "job-journal directory; accepted jobs survive crashes and are requeued on restart (empty disables)")
+		journal  = flag.String("journal", "", "job-journal directory; accepted jobs survive crashes and are requeued on restart (empty: a temp dir removed at exit)")
 		withProf = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profiling is opt-in; see EXPERIMENTS.md)")
 		logJSON  = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -123,8 +129,17 @@ func main() {
 		fleetMax   = flag.Int("fleet", 0, "local cluster mode: dispatch-only frontend plus up to N autoscaled worker processes (requires -journal)")
 		fleetMin   = flag.Int("fleet-min", 0, "minimum fleet workers to keep warm (0 scales to zero when idle)")
 		scaleDown  = flag.Duration("scale-down-delay", 15*time.Second, "how long fleet demand must stay low before workers are stopped")
+		status     = flag.String("status", "", "print a fleet snapshot from a running frontend at this base URL, then exit")
 	)
 	flag.Parse()
+
+	if *status != "" {
+		if err := printStatus(*status); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	logger := obs.NewLogger(*logJSON, obs.ParseLevel(*logLevel))
 	harness.SetWorkers(*parallel)
@@ -141,14 +156,17 @@ func main() {
 		return
 	}
 
+	// A standalone server runs jobs on its in-process worker; -fleet
+	// swaps that worker for autoscaled processes over the same journal.
 	var srv *serve.Server
-	var cluster *fleet.Local
+	var err error
+	shutdown := func(ctx context.Context) { srv.Shutdown(ctx) }
 	if *fleetMax > 0 {
 		if *journal == "" {
 			fmt.Fprintln(os.Stderr, "pythia-serve: -fleet requires -journal (the shared coordination substrate)")
 			os.Exit(2)
 		}
-		var err error
+		var cluster *fleet.Local
 		cluster, err = fleet.StartLocal(fleet.LocalOptions{
 			Store:          store,
 			Policies:       pols,
@@ -160,18 +178,15 @@ func main() {
 			ScaleDownDelay: *scaleDown,
 			Logger:         logger,
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if err == nil {
+			srv, shutdown = cluster.Server, cluster.Shutdown
 		}
-		srv = cluster.Server
 	} else {
-		var err error
 		srv, err = serve.New(serve.Config{Store: store, Policies: pols, QueueDepth: *queue, JournalDir: *journal, Logger: logger})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if n := srv.Recovered(); n > 0 {
 		fmt.Printf("recovered %d journaled job(s) from %s\n", n, *journal)
@@ -197,7 +212,7 @@ func main() {
 	if pols != nil {
 		polDesc = pols.Dir()
 	}
-	if cluster != nil {
+	if *fleetMax > 0 {
 		fmt.Printf("pythia-serve fleet frontend on %s (journal %s, workers %d..%d, queue %d)\n",
 			*addr, *journal, *fleetMin, *fleetMax, *queue)
 	} else {
@@ -209,11 +224,10 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
-		if cluster != nil {
-			cluster.Coord.Close()
-		}
-		srv.Close()
 		fmt.Fprintln(os.Stderr, err)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // no drain: abort whatever runs
+		shutdown(ctx)
 		os.Exit(1)
 	case s := <-sig:
 		fmt.Printf("received %v, shutting down (drain budget %v; signal again to abort)\n", s, *grace)
@@ -223,7 +237,7 @@ func main() {
 			<-sig
 			cancel()
 		}()
-		// Drain the job queue and wind down HTTP concurrently, both under
+		// Drain the queued jobs and wind down HTTP concurrently, both under
 		// the same grace context: SSE streams of running jobs only end when
 		// their jobs turn terminal, which is exactly what the drain (or its
 		// abort) produces — sequencing them would deadlock the grace budget.
@@ -232,11 +246,7 @@ func main() {
 			defer close(httpDone)
 			httpSrv.Shutdown(ctx)
 		}()
-		if cluster != nil {
-			cluster.Shutdown(ctx)
-		} else {
-			srv.Shutdown(ctx)
-		}
+		shutdown(ctx)
 		<-httpDone
 		cancel()
 	}
@@ -291,4 +301,29 @@ func workerCommand(journalDir, storeDir, polDir string, parallel int, logJSON bo
 		cmd.Stderr = os.Stderr
 		return cmd
 	}
+}
+
+// printStatus renders a frontend's GET /api/v1/fleet for humans.
+func printStatus(base string) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	fs, err := api.NewClient(base).Fleet(ctx)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("fleet: desired %d, ready %d, starting %d | queued %d, in-flight %d\n",
+		fs.Desired, fs.Ready, fs.Starting, fs.Queued, fs.InFlight)
+	fmt.Printf("cold starts %d (last %.2fs), requeues %d\n",
+		fs.ColdStarts, fs.LastColdStartSeconds, fs.Requeues)
+	ws := append([]api.FleetWorker(nil), fs.Workers...)
+	sort.Slice(ws, func(i, j int) bool { return ws[i].PID < ws[j].PID })
+	for _, w := range ws {
+		job := w.Job
+		if job == "" {
+			job = "-"
+		}
+		fmt.Printf("  pid %-7d %-9s job %-10s done %-4d sims %-10d up %.0fs  %s\n",
+			w.PID, w.State, job, w.Jobs, w.Sims, w.UptimeSeconds, w.Owner)
+	}
+	return nil
 }

@@ -239,7 +239,7 @@ type FleetStatus struct {
 	// LastColdStartSeconds is the most recent spawn-to-ready latency.
 	ColdStarts           int64   `json:"cold_starts"`
 	LastColdStartSeconds float64 `json:"last_cold_start_seconds,omitempty"`
-	// Requeues counts jobs whose expired claims the coordinator reaped.
+	// Requeues counts jobs whose expired claims the frontend reaped.
 	Requeues int64         `json:"requeues"`
 	Workers  []FleetWorker `json:"workers"`
 }

@@ -37,18 +37,15 @@ type Config struct {
 	// StaleAfter is how old a worker heartbeat may grow before the worker
 	// counts as dead; the default is 5s (five worker heartbeat intervals).
 	StaleAfter time.Duration
-	// ClaimGrace is the expiry slack for claims whose lease never got
-	// written (killed mid-claim); the default is 5s.
-	ClaimGrace time.Duration
 
 	Logger *slog.Logger
 }
 
-// Coordinator runs the fleet control loop: reap expired claims so
-// orphaned jobs requeue, track worker liveness and cold starts, and
-// reconcile the process count to the autoscaler's decision. It is the
-// fleet's single reaper — see the claim-protocol notes in
-// serve/claims.go for why reaping must not be replicated per worker.
+// Coordinator runs the fleet control loop: track worker liveness and
+// cold starts, and reconcile the process count to the autoscaler's
+// decision. It reaps no claims: the frontend is the journal's single
+// reaper (serve.Server), and a crashed worker's job is back in line once
+// the frontend frees its lapsed claim.
 type Coordinator struct {
 	cfg    Config
 	fj     *serve.FleetJournal
@@ -67,8 +64,9 @@ type Coordinator struct {
 	inflight      int
 	coldStarts    int64
 	lastColdStart time.Duration
-	requeues      int64
 	workers       []api.FleetWorker
+	// reaped reads the frontend's count of reaped claims (nil: none).
+	reaped func() int64
 }
 
 // Start opens the journal, registers metrics, and launches the control
@@ -89,9 +87,6 @@ func Start(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 5 * time.Second
-	}
-	if cfg.ClaimGrace <= 0 {
-		cfg.ClaimGrace = 5 * time.Second
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -140,13 +135,25 @@ func (c *Coordinator) Status() api.FleetStatus {
 		InFlight:             c.inflight,
 		ColdStarts:           c.coldStarts,
 		LastColdStartSeconds: c.lastColdStart.Seconds(),
-		Requeues:             c.requeues,
 		Workers:              append([]api.FleetWorker(nil), c.workers...),
+	}
+	if c.reaped != nil {
+		st.Requeues = c.reaped()
 	}
 	return st
 }
 
-// loop is the control loop: observe, reap, sweep, decide, reconcile.
+// requeues reads the frontend's reaped-claim count for /metrics.
+func (c *Coordinator) requeues() float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.reaped == nil {
+		return 0
+	}
+	return float64(c.reaped())
+}
+
+// loop is the control loop: observe, sweep, decide, reconcile.
 func (c *Coordinator) loop() {
 	defer c.wg.Done()
 	tick := time.NewTicker(c.cfg.PollInterval)
@@ -165,16 +172,6 @@ func (c *Coordinator) loop() {
 // step runs one control-loop iteration.
 func (c *Coordinator) step() {
 	now := time.Now().UTC()
-
-	// Requeue orphaned work first: a reaped claim turns its job claimable
-	// before this tick's demand is measured, so the autoscaler sees it.
-	if reaped := c.fj.ReapExpired(c.cfg.ClaimGrace); len(reaped) > 0 {
-		mRequeues.Add(int64(len(reaped)))
-		c.mu.Lock()
-		c.requeues += int64(len(reaped))
-		c.mu.Unlock()
-		c.log.Warn("expired claims reaped, jobs requeued", "jobs", reaped)
-	}
 
 	// Match heartbeats to supervised processes: a first heartbeat flips
 	// its process ready and measures the cold start.
@@ -200,7 +197,7 @@ func (c *Coordinator) step() {
 
 	// Sweep corpses and their heartbeat litter. A crashed worker (exited
 	// without being asked) is just logged — reconciliation below respawns
-	// it, and the claim reaper already rescued its job.
+	// it, and the frontend's reaper frees its job once the lease lapses.
 	crashed, stopped := c.sup.sweep()
 	for _, p := range crashed {
 		c.log.Warn("worker died unexpectedly", "pid", p.pid, "owner", p.owner)

@@ -49,7 +49,7 @@ func TestFleetWorkerProcess(t *testing.T) {
 	_, err := serve.RunWorker(ctx, serve.WorkerConfig{
 		Store:      results.Open(filepath.Join(root, "results")),
 		JournalDir: filepath.Join(root, "journal"),
-		// Short lease so the coordinator notices the corpse in seconds,
+		// Short lease so the frontend reaps the corpse's claim in seconds,
 		// not the production 30s.
 		LeaseTTL:          2 * time.Second,
 		ProgressInterval:  50 * time.Millisecond,
@@ -79,6 +79,9 @@ func startChaosCluster(t *testing.T, root string) (*fleet.Local, *httptest.Serve
 		// A fixed pool of two: the point here is failover, not scaling
 		// (the autoscaler has its own table tests).
 		Min: 2, Max: 2,
+		// The frontend reaps lapsed claims every LeaseTTL/3; match the
+		// workers' short lease so the corpse's job requeues in seconds.
+		LeaseTTL: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,8 +206,8 @@ func TestFleetSIGKILLRecovery(t *testing.T) {
 	// Whatever the kill interrupted, nothing persisted may be corrupt.
 	auditResultFiles(t, filepath.Join(root, "results"))
 
-	// The coordinator must reap the dead worker's claim and a survivor
-	// (or respawn) must run the job to completion.
+	// The frontend must reap the dead worker's claim and a survivor (or
+	// respawn) must run the job to completion.
 	done := waitFleetTerminal(t, ts.URL, jobID, 4*time.Minute)
 	if done.Status != serve.StatusDone {
 		t.Fatalf("orphaned job ended %q (%s); worker log:\n%s", done.Status, done.Error, readLog(root))

@@ -31,8 +31,8 @@ type LocalOptions struct {
 	Min, Max          int
 	TargetConcurrency int
 	ScaleDownDelay    time.Duration
-	// LeaseTTL is the frontend's claim TTL for cancellation claims and
-	// the default lease horizon; workers bring their own.
+	// LeaseTTL is the frontend's claim TTL: its cancellation claims, and
+	// its reaper's cadence (every LeaseTTL/3); workers bring their own.
 	LeaseTTL time.Duration
 
 	Logger *slog.Logger
@@ -74,6 +74,9 @@ func StartLocal(opt LocalOptions) (*Local, error) {
 		coord.Close()
 		return nil, err
 	}
+	coord.mu.Lock()
+	coord.reaped = srv.Reaped
+	coord.mu.Unlock()
 	return &Local{Server: srv, Coord: coord}, nil
 }
 

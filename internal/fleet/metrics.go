@@ -6,8 +6,6 @@ import "pythia/internal/obs"
 // that track a live Coordinator are func-backed and registered per
 // instance (replace-on-reregister, like serve's).
 var (
-	mRequeues = obs.GetCounter("pythia_fleet_requeues_total",
-		"Jobs requeued by reaping a dead worker's expired claim.", nil)
 	mColdStarts = obs.GetCounter("pythia_fleet_cold_starts_total",
 		"Worker processes spawned (scale-up and crash respawn).", nil)
 	mColdStartSeconds = obs.GetGauge("pythia_fleet_cold_start_seconds",
@@ -37,6 +35,9 @@ func (c *Coordinator) registerMetrics() {
 	obs.RegisterGaugeFunc("pythia_fleet_workers",
 		"Live workers by state.", obs.L("state", "starting"),
 		func() float64 { _, st := c.sup.counts(); return float64(st) })
+	obs.RegisterCounterFunc("pythia_fleet_requeues_total",
+		"Jobs requeued by the frontend reaping a dead worker's expired claim.", nil,
+		c.requeues)
 	obs.RegisterGaugeFunc("pythia_fleet_queue_depth",
 		"Claimable (unclaimed, non-terminal) journal records.", nil,
 		func() float64 {

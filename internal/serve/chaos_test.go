@@ -3,7 +3,7 @@ package serve_test
 // The in-process half of the chaos suite: named failpoints
 // (internal/fault) are armed at every layer the serving path crosses —
 // result-store writes, policy-store writes, trace decoding, the journal,
-// and the admission window between journal write and queue insert — and
+// and the admission window between journal write and registration — and
 // the tests assert the ISSUE-6 invariants: jobs converge to done or
 // permanently-failed, no store file is ever corrupt or partial, and
 // /healthz reports degradation truthfully. The process-crash half
@@ -360,7 +360,7 @@ func TestChaosDecodeFaultFailsPermanently(t *testing.T) {
 
 // TestChaosAdmitCrashRecovered drives the widest at-least-once window:
 // the server "crashes" (injected panic) after journaling an admission
-// but before the queue insert. The client gets an error, yet the job is
+// but before registering the job. The client gets an error, yet the job is
 // journaled — a rebuilt server over the same journal requeues and
 // completes it.
 func TestChaosAdmitCrashRecovered(t *testing.T) {

@@ -1,19 +1,21 @@
 package serve
 
-// Multi-process coordination over the job journal. A fleet of worker
-// processes shares one journal directory; mutual exclusion comes from
+// The claim protocol: the one lease protocol of the job journal, used
+// alike by a standalone server's in-process worker and by fleet worker
+// processes sharing one journal directory. Mutual exclusion comes from
 // claim files created with O_CREATE|O_EXCL — the one primitive POSIX
 // rename-based stores don't give us — so exactly one worker wins each
-// job no matter how many scan concurrently. Everything else (job
-// records, worker heartbeats, cancel markers) is atomic-rename JSON in
-// the established store idiom.
+// job no matter how many try concurrently. A claim carries the lease;
+// the running worker's heartbeat renews it in the claim file and
+// nowhere else. Everything else (job records, worker heartbeats, cancel
+// markers) is atomic-rename JSON in the established store idiom.
 //
 // Layout under the journal dir:
 //
 //	<id>.json          job record (journal.go)
 //	claims/<id>.claim  live execution claim: {owner, lease_until}
-//	workers/<owner>.json worker heartbeat: state, throughput counters
-//	cancels/<id>       cancel marker: a user canceled a claimed job
+//	workers/<owner>.json worker-process heartbeat: state, throughput counters
+//	cancels/<id>       cancel marker: a user canceled a job another process holds
 //
 // Ownership identity is PID plus a per-process start nonce. The nonce
 // matters: PIDs recycle, and a lease protocol keyed on bare PID would
@@ -25,6 +27,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -96,6 +99,11 @@ func (l *journal) claim(id, owner string, ttl time.Duration) bool {
 	return true
 }
 
+// errLeaseLost is renewClaim's answer when the claim is gone or belongs
+// to another owner; any other renewal error is a failed write that the
+// next heartbeat retries.
+var errLeaseLost = errors.New("lease lost")
+
 // renewClaim extends the lease on a held claim. It re-reads the claim
 // first and refuses unless the recorded owner matches exactly — the
 // recycled-PID defense: a process that did not mint this owner string
@@ -105,10 +113,10 @@ func (l *journal) claim(id, owner string, ttl time.Duration) bool {
 func (l *journal) renewClaim(id, owner string, ttl time.Duration) error {
 	cur, ok := l.claimState(id)
 	if !ok {
-		return fmt.Errorf("claim for %s is gone (lease reaped)", id)
+		return fmt.Errorf("claim for %s is gone (reaped): %w", id, errLeaseLost)
 	}
 	if cur.Owner != owner {
-		return fmt.Errorf("claim for %s is owned by %s, not %s", id, cur.Owner, owner)
+		return fmt.Errorf("claim for %s is owned by %s, not %s: %w", id, cur.Owner, owner, errLeaseLost)
 	}
 	cur.LeaseUntil = time.Now().UTC().Add(ttl)
 	return fsutil.WriteAtomic(l.claimsDir(), l.claimPath(id), func(tmp *os.File) error {
@@ -143,6 +151,12 @@ func (l *journal) claimState(id string) (claimRecord, bool) {
 	json.Unmarshal(buf, &c)
 	c.ID = id
 	return c, true
+}
+
+// claimed reports whether a claim file exists for the job.
+func (l *journal) claimed(id string) bool {
+	_, err := os.Stat(l.claimPath(id))
+	return err == nil
 }
 
 // claimExpired reports whether a claim's lease has lapsed. A zero
@@ -181,16 +195,18 @@ func (l *journal) liveClaims() []claimRecord {
 
 // reapExpiredClaims removes claims whose lease has lapsed and returns
 // the affected job IDs. Removing the claim is the whole requeue: a
-// non-terminal record with no claim is claimable, so the next worker
-// scan picks the job up. Only the fleet coordinator calls this —
-// a single reaper keeps the check-then-remove window away from the
-// many-workers path (a live owner that was wrongly reaped discovers it
-// at its next renewClaim and abandons the run instead of split-braining).
-func (l *journal) reapExpiredClaims(grace time.Duration) []string {
+// non-terminal record with no claim is claimable again. Claims owned by
+// self are spared — they belong to the reaping process, which is alive
+// by definition. Only the frontend's reaper calls this, once per
+// journal: a single reaper keeps the check-then-remove window away from
+// the many-workers path (a live owner that was wrongly reaped discovers
+// it at its next renewClaim and abandons the run instead of
+// split-braining).
+func (l *journal) reapExpiredClaims(grace time.Duration, self string) []string {
 	now := time.Now().UTC()
 	var reaped []string
 	for _, c := range l.liveClaims() {
-		if !l.claimExpired(c, grace, now) {
+		if c.Owner == self || !l.claimExpired(c, grace, now) {
 			continue
 		}
 		if err := os.Remove(l.claimPath(c.ID)); err == nil {
@@ -202,8 +218,8 @@ func (l *journal) reapExpiredClaims(grace time.Duration) []string {
 
 // --- Cancel markers ---
 
-// markCancel requests cancellation of a job some worker currently owns:
-// the marker file is the frontend-to-worker signal (checked on every
+// markCancel requests cancellation of a job another process owns: the
+// marker file is the frontend-to-worker signal (checked on every
 // heartbeat), since job contexts do not cross process boundaries.
 func (l *journal) markCancel(id string) error {
 	if err := os.MkdirAll(l.cancelsDir(), 0o755); err != nil {

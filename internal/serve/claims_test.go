@@ -5,6 +5,7 @@ package serve
 // expiry/reaping, cancel markers, and worker heartbeat documents.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -74,13 +75,13 @@ func TestRenewAfterReapFails(t *testing.T) {
 		t.Fatal("claim refused")
 	}
 	time.Sleep(5 * time.Millisecond)
-	reaped := jl.reapExpiredClaims(0)
+	reaped := jl.reapExpiredClaims(0, "")
 	if len(reaped) != 1 || reaped[0] != "job-1" {
 		t.Fatalf("reapExpiredClaims = %v, want [job-1]", reaped)
 	}
 	// The old owner must learn it lost the job, not resurrect the claim.
-	if err := jl.renewClaim("job-1", owner, time.Minute); err == nil {
-		t.Fatal("renew succeeded on a reaped claim")
+	if err := jl.renewClaim("job-1", owner, time.Minute); !errors.Is(err, errLeaseLost) {
+		t.Fatalf("renew on a reaped claim = %v, want errLeaseLost", err)
 	}
 	if _, ok := jl.claimState("job-1"); ok {
 		t.Fatal("failed renew recreated the claim file")
@@ -90,6 +91,11 @@ func TestRenewAfterReapFails(t *testing.T) {
 func TestReapSparesLiveAndGracedClaims(t *testing.T) {
 	jl := testJournal(t)
 	if !jl.claim("job-live", NewOwnerID("w"), time.Hour) {
+		t.Fatal("claim refused")
+	}
+	// The reaper's own claims are never lapsed: it is alive.
+	self := NewOwnerID("reaper")
+	if !jl.claim("job-self", self, time.Millisecond) {
 		t.Fatal("claim refused")
 	}
 	// An empty claim file models a claimant killed between the O_EXCL
@@ -102,11 +108,11 @@ func TestReapSparesLiveAndGracedClaims(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if reaped := jl.reapExpiredClaims(time.Hour); len(reaped) != 0 {
+	if reaped := jl.reapExpiredClaims(time.Hour, self); len(reaped) != 0 {
 		t.Fatalf("reaped live/graced claims: %v", reaped)
 	}
 	time.Sleep(5 * time.Millisecond)
-	reaped := jl.reapExpiredClaims(time.Millisecond)
+	reaped := jl.reapExpiredClaims(time.Millisecond, self)
 	if len(reaped) != 1 || reaped[0] != "job-halfwritten" {
 		t.Fatalf("reap with lapsed grace = %v, want [job-halfwritten]", reaped)
 	}

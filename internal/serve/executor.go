@@ -1,15 +1,18 @@
 package serve
 
-// executor is the job-execution engine, extracted from Server so two
-// roles can drive it: the in-process executor goroutine of a standalone
-// Server (the single-process mode that predates the fleet), and the
-// worker-process loop in worker.go, which drains claims from a shared
-// journal. The execution semantics — store-first GetOrCompute, jittered
-// transient retries under the attempt budget, breaker feedback,
-// delivery-beats-persistence — are identical in both roles; only how a
-// job arrives (queue channel vs. journal claim) differs.
+// executor is the job-execution engine and runClaimed its one entry
+// point: every job runs under a claim file (claims.go), whoever runs
+// it. Two roles hold claims — a standalone server's in-process worker
+// goroutine, which claims the frontend's own queued jobs as admission
+// wakes it (server.go), and a fleet worker process, which finds
+// claimable records by scanning a shared journal (worker.go). The
+// execution semantics — store-first GetOrCompute, jittered transient
+// retries under the attempt budget, breaker feedback,
+// delivery-beats-persistence, the lease heartbeat in the claim file —
+// are identical in both; only how a job is found differs.
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -29,22 +32,57 @@ type executor struct {
 	// result and policy persistence respectively.
 	storeBrk *breaker
 	polBrk   *breaker
-	// journal is nil when journaling is disabled.
-	journal *journal
+	journal  *journal
 
 	leaseTTL         time.Duration
 	maxAttempts      int
 	retryBase        time.Duration
 	progressInterval time.Duration
 
-	// owner is the claim-owner identity when this executor runs inside a
-	// fleet worker ("" in the single-process role). With an owner set,
-	// the heartbeat also renews the job's claim file — and cancels the
-	// run if the claim was lost (lease reaped, job requeued elsewhere)
-	// or a frontend left a cancel marker.
+	// owner is the claim-owner identity the heartbeat renews leases as;
+	// a run whose claim was lost (reaped, owned elsewhere) is aborted.
 	owner string
+	// watchCancels makes the heartbeat honor cancel markers: set in
+	// fleet workers, whose frontend's DELETE cannot reach the job
+	// context across the process boundary.
+	watchCancels bool
 
 	log *slog.Logger
+}
+
+// runClaimed executes a job whose claim e.owner holds and releases the
+// claim. It reports whether the job reached a terminal state that
+// stands; false means the job was handed back — its lease was lost, or
+// a draining worker canceled it, leaving the record requeue-able.
+func (e *executor) runClaimed(j *job) bool {
+	// A cancel marker may have landed while the job sat queued; honor it
+	// before spending any work (runJob finishes a canceled job at once).
+	if e.watchCancels && e.journal.cancelRequested(j.id) {
+		j.markUserCanceled()
+		j.cancel()
+	}
+	// The attempt budget is carried by the record, so a job that kills
+	// every process that touches it (crash loop) is abandoned here on its
+	// way into yet another execution.
+	if st, n := j.state(); n >= e.maxAttempts && !terminalStatus(st) {
+		j.finish(nil, false, 0, fmt.Errorf("abandoned after %d attempts (crash loop)", n))
+		e.log.Warn("job abandoned (attempt budget)", "job", j.id, "attempts", n)
+	} else {
+		e.execute(j)
+	}
+	if j.lostLease() {
+		// The claim was reaped mid-run and may belong to a new owner now;
+		// leave it (and the record) alone.
+		e.log.Warn("job orphaned mid-run", "job", j.id)
+		return false
+	}
+	e.journal.releaseClaim(j.id, e.owner)
+	if !j.canceledByUser() {
+		st, _ := j.state()
+		return st != StatusCanceled
+	}
+	e.journal.clearCancel(j.id)
+	return true
 }
 
 // execute routes a job to its kind's runner and logs its terminal
@@ -69,8 +107,8 @@ func (e *executor) execute(j *job) {
 // compute side: the harness memoizes finished runs in memory even when
 // persists fail, so a retry re-renders the table without re-simulating.
 func (e *executor) runJob(j *job) {
-	// A job canceled while queued (DELETE, or an aborted shutdown) is
-	// already terminal — or about to be; don't touch the store for it.
+	// A job canceled before it ran (DELETE, a cancel marker, or an
+	// aborted shutdown) ends here without touching the store.
 	if j.ctx.Err() != nil {
 		j.finish(nil, false, 0, j.ctx.Err())
 		return
@@ -84,7 +122,7 @@ func (e *executor) runJob(j *job) {
 	var err error
 	for {
 		payload = harness.ExperimentPayload{}
-		j.beginAttempt(e.leaseTTL)
+		j.beginAttempt()
 		hit, err = e.store.GetOrCompute(key, &payload, func() (any, error) {
 			return e.computeExperiment(j, startSims)
 		})
@@ -125,7 +163,7 @@ func (e *executor) runTrainJob(j *job) {
 	var hit bool
 	var err error
 	for {
-		j.beginAttempt(e.leaseTTL)
+		j.beginAttempt()
 		env, hit, err = e.trainPolicy(j)
 		e.recordPersist(e.polBrk, hit, env.ID != "", err)
 		if !e.retry(j, err) {
@@ -205,12 +243,12 @@ func backoff(base time.Duration, attempt int) time.Duration {
 // time per process, every simulation between job start and finish
 // belongs to this job, so the delta is exact.
 //
-// The sampler is also the lease heartbeat: each tick renews the running
-// job's journaled lease, so the lease lapses exactly when the process
-// stops making progress observations (crash, hang, SIGKILL). In the
-// worker role (owner set) the heartbeat additionally renews the claim
-// file — aborting the run if the claim was lost — and honors cancel
-// markers left by a frontend, since contexts don't cross processes.
+// The sampler is also the lease heartbeat: every LeaseTTL/3 it renews
+// the job's claim file, so the lease lapses exactly when the process
+// stops making progress observations (crash, hang, SIGKILL). A renewal
+// that finds the claim gone or owned elsewhere aborts the run; a failed
+// write is retried on the next tick. With watchCancels set it also
+// honors cancel markers, since contexts don't cross processes.
 func (e *executor) startSampler(j *job, startSims int64) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -227,33 +265,28 @@ func (e *executor) startSampler(j *job, startSims int64) (stop func()) {
 				return
 			case <-tick.C:
 				j.progress(harness.SimCount() - startSims)
-				if e.journal == nil {
-					continue
-				}
-				if e.owner != "" && e.journal.cancelRequested(j.id) {
+				if e.watchCancels && e.journal.cancelRequested(j.id) {
 					e.log.Info("cancel marker honored", "job", j.id)
 					j.markUserCanceled()
 					j.cancel()
 				}
-				// Renewing on every tick would write the journal far more
-				// often than durability needs; a third of the TTL keeps two
-				// renewals of slack before a lease could falsely lapse.
-				if time.Since(lastRenew) >= e.leaseTTL/3 {
-					if e.owner != "" {
-						if err := e.journal.renewClaim(j.id, e.owner, e.leaseTTL); err != nil {
-							// The claim is gone or owned elsewhere: this worker
-							// lost the lease (reaped after a stall). Abort the
-							// run rather than split-brain with the new owner;
-							// the finish path must not journal over theirs.
-							e.log.Warn("lease lost, aborting run", "job", j.id, "error", err.Error())
-							j.orphan()
-							j.cancel()
-							return
-						}
-					}
-					j.renewLease(e.leaseTTL)
-					lastRenew = time.Now()
+				if time.Since(lastRenew) < e.leaseTTL/3 {
+					continue
 				}
+				err := e.journal.renewClaim(j.id, e.owner, e.leaseTTL)
+				if errors.Is(err, errLeaseLost) {
+					// Abort rather than split-brain with the new owner;
+					// the finish path must not journal over theirs.
+					e.log.Warn("lease lost, aborting run", "job", j.id, "error", err.Error())
+					j.orphan()
+					j.cancel()
+					return
+				}
+				if err != nil {
+					e.log.Warn("lease renewal failed, retrying", "job", j.id, "error", err.Error())
+					continue
+				}
+				lastRenew = time.Now()
 			}
 		}
 	}()

@@ -1,10 +1,11 @@
 package serve
 
 // FleetJournal is the read/admin façade the fleet coordinator uses over
-// a shared journal directory: backlog counts for the autoscaler, worker
-// heartbeats for liveness and occupancy, and expired-claim reaping. All
-// journal file-format knowledge stays in this package — fleet imports
-// serve, never the reverse.
+// a shared journal directory: backlog counts for the autoscaler and
+// worker heartbeats for liveness and occupancy. (Reaping expired claims
+// is the frontend's job; see Server.reapClaims.) All journal
+// file-format knowledge stays in this package — fleet imports serve,
+// never the reverse.
 
 import (
 	"time"
@@ -33,7 +34,7 @@ func (f *FleetJournal) Backlog() (queued, inflight int) {
 		if terminalStatus(rec.Status) {
 			continue
 		}
-		if _, claimed := f.jl.claimState(rec.ID); claimed {
+		if f.jl.claimed(rec.ID) {
 			inflight++
 		} else {
 			queued++
@@ -73,12 +74,4 @@ func (f *FleetJournal) Workers() []WorkerInfo {
 // RemoveWorker retires a dead worker's heartbeat document.
 func (f *FleetJournal) RemoveWorker(owner string) {
 	f.jl.removeWorker(owner)
-}
-
-// ReapExpired removes claims whose lease lapsed, requeueing their jobs
-// (a non-terminal record without a claim is claimable again); it returns
-// the affected job IDs. The coordinator is the fleet's single reaper —
-// see the claim-protocol notes in claims.go.
-func (f *FleetJournal) ReapExpired(grace time.Duration) []string {
-	return f.jl.reapExpiredClaims(grace)
 }

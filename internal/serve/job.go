@@ -16,7 +16,7 @@ import (
 // Job kinds and statuses are defined by the wire contract in
 // internal/api; serve re-exports them so internal code (and the journal,
 // which persists status strings) reads naturally. Both kinds flow
-// through the same queue, executor and SSE machinery.
+// through the same journal, claim and SSE machinery.
 const (
 	KindExperiment = api.KindExperiment
 	KindTrain      = api.KindTrain
@@ -34,8 +34,8 @@ func terminalStatus(s string) bool { return api.TerminalStatus(s) }
 // Event is one server-sent event: a type tag plus a JSON payload.
 type Event = api.Event
 
-// job is one queued experiment run. All mutable state is behind mu; the
-// executor writes, HTTP handlers read, SSE subscribers receive a replay of
+// job is one admitted run. All mutable state is behind mu; the worker
+// running it writes, HTTP handlers read, SSE subscribers receive a replay of
 // every event published so far followed by live events, so a subscriber
 // that arrives after completion still sees the full history.
 //
@@ -61,9 +61,9 @@ type job struct {
 	// marks the stages it owns; JobView surfaces the snapshot.
 	tl *obs.Timeline
 
-	// jl is the server's journal (nil = journaling disabled); set before
-	// the job is visible to any other goroutine. State transitions under
-	// mu write through to it, so per-job journal writes are serialized.
+	// jl is the journal (nil once orphaned); set before the job is
+	// visible to any other goroutine. State transitions under mu write
+	// through to it, so per-job journal writes are serialized.
 	jl *journal
 	// recovered marks a job rebuilt from the journal after a restart.
 	recovered bool
@@ -74,13 +74,11 @@ type job struct {
 	cached   bool
 	sims     int64
 	attempts int
-	// owner is the lease-owner identity of the process executing the job
-	// (set by the worker loop before execution; empty for the in-process
-	// executor and for queued jobs). Journaled so fleet frontends can
+	// owner is the lease-owner identity of the fleet worker process
+	// executing the job (empty for a standalone server's in-process
+	// worker and for queued jobs). Journaled so fleet frontends can
 	// report which worker holds each job.
 	owner string
-	// leaseUntil is the running job's heartbeat-renewed lease expiry.
-	leaseUntil time.Time
 	// userCanceled distinguishes DELETE (a terminal decision, journaled)
 	// from shutdown-driven cancellation (the journal keeps the job's
 	// pre-cancel state so a restart requeues it).
@@ -144,6 +142,14 @@ func (j *job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return terminalStatus(j.status)
+}
+
+// state reads the job's status and attempt count — the cheap subset of
+// view for the workers' decisions.
+func (j *job) state() (status string, attempts int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status, j.attempts
 }
 
 // view snapshots the job for JSON rendering.
@@ -226,12 +232,11 @@ func (j *job) publish(typ string, payload any) {
 }
 
 // beginAttempt transitions the job to running (announced once, on the
-// first attempt), counts the attempt, and takes a lease of ttl — all
-// journaled. A job that already turned terminal stays terminal: a
-// DELETE can finish a queued job between the executor popping it and
-// reaching here, and running must not overwrite (or be published after)
-// that terminal state.
-func (j *job) beginAttempt(ttl time.Duration) {
+// first attempt) and counts the attempt — both journaled. A job that
+// already turned terminal stays terminal: a DELETE can finish a job
+// between its claim and here, and running must not overwrite (or be
+// published after) that terminal state.
+func (j *job) beginAttempt() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if terminalStatus(j.status) {
@@ -245,25 +250,11 @@ func (j *job) beginAttempt(ttl time.Duration) {
 	// Barrier, not Mark: each attempt opens a fresh dedup window, so a
 	// retried job's timeline shows every leased→streaming→… sequence.
 	j.tl.Barrier("leased", now)
-	j.leaseUntil = now.Add(ttl)
 	if j.status != StatusRunning {
 		j.status = StatusRunning
 		j.started = time.Now().UTC()
 		j.publish("status", j.viewLocked())
 	}
-	j.journalLocked(j.jl)
-}
-
-// renewLease is the heartbeat: the progress sampler pushes the running
-// job's lease expiry out every interval, so only a process that stopped
-// sampling (crashed, hung, killed) ever lets it lapse.
-func (j *job) renewLease(ttl time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != StatusRunning {
-		return
-	}
-	j.leaseUntil = time.Now().UTC().Add(ttl)
 	j.journalLocked(j.jl)
 }
 
@@ -285,9 +276,9 @@ func (j *job) retrying(err error, wait time.Duration) {
 	})
 }
 
-// requeued journals the job's (re-)queued state; the recovery requeue
-// paths call it so the journal reflects that the job is waiting again.
-func (j *job) requeued() {
+// save journals the job's current state: admission's write, which is
+// the enqueue — a non-terminal record with no claim is claimable.
+func (j *job) save() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if terminalStatus(j.status) {
@@ -305,10 +296,17 @@ func (j *job) markUserCanceled() {
 	j.mu.Unlock()
 }
 
+// canceledByUser reports whether markUserCanceled was called.
+func (j *job) canceledByUser() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.userCanceled
+}
+
 // orphan marks a job whose lease was lost to another owner (the claim
 // was reaped and possibly re-claimed elsewhere). Detaching the journal
 // makes the eventual local terminal state memory-only, so this process
-// can never overwrite the new owner's record; the worker loop also skips
+// can never overwrite the new owner's record; runClaimed also skips
 // releasing a claim it no longer holds.
 func (j *job) orphan() {
 	j.mu.Lock()
@@ -341,8 +339,8 @@ func (j *job) progress(sims int64) {
 // subscriber channel (their signal to end the SSE stream). A context
 // cancellation error lands the job in canceled, not error: being stopped
 // on request is a normal lifecycle outcome, not a failure. Finishing twice
-// is a no-op (a canceled queued job may be finished by both the DELETE
-// handler and the executor's drain).
+// is a no-op (a canceled job may be finished by both the DELETE handler
+// and the worker that claimed it).
 func (j *job) finish(res *harness.ExperimentPayload, cached bool, sims int64, err error) {
 	j.finishWith(func() { j.result = res }, cached, sims, err)
 }
@@ -414,7 +412,6 @@ func (j *job) syncRunning(rec jobRecord) {
 	}
 	j.attempts = rec.Attempts
 	j.owner = rec.Owner
-	j.leaseUntil = rec.LeaseUntil
 	if j.status != StatusRunning {
 		j.status = StatusRunning
 		j.started = rec.UpdatedAt

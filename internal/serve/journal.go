@@ -21,11 +21,12 @@ import (
 // rather than failing admissions.
 const FPJournalWrite = "serve.journal-write"
 
-// FPAdmitCrash sits between the admission journal write and the queue
-// insert — the widest at-least-once window. A crash there leaves a
-// journaled job that was never queued; recovery must requeue it even
-// though the client saw an error (the store's content addressing makes
-// the re-execution idempotent).
+// FPAdmitCrash sits between the admission journal write and the job's
+// registration with the frontend — the widest at-least-once window. A
+// crash there leaves a journaled job no live frontend tracks; a fleet
+// worker may claim it, and recovery requeues it, even though the client
+// saw an error (the store's content addressing makes the re-execution
+// idempotent).
 const FPAdmitCrash = "serve.admit-crash"
 
 // jobRecord is the on-disk journal document for one job: the spec
@@ -47,21 +48,18 @@ type jobRecord struct {
 	Scale string `json:"scale"`
 
 	Status string `json:"status"`
-	// Attempts counts times the job entered execution (dispatches, plus
-	// in-process transient retries); recovery refuses jobs that already
-	// burned through the attempt budget, so a job that crashes the
-	// server cannot crash-loop it forever.
+	// Attempts counts times the job entered execution (claims, plus
+	// in-process transient retries); a worker refuses a job that already
+	// burned through the attempt budget, so a job that crashes whoever
+	// runs it cannot crash-loop them forever.
 	Attempts int    `json:"attempts"`
 	Error    string `json:"error,omitempty"`
-	// LeaseUntil is the running job's lease expiry, heartbeat-renewed by
-	// the progress sampler. Recovery requeues a running job only once
-	// its lease has expired: a still-live lease may belong to another
-	// process sharing the journal directory.
-	LeaseUntil time.Time `json:"lease_until,omitempty"`
-	// Owner identifies the process executing the job (PID + start-time
-	// nonce; see NewOwnerID). Fleet frontends surface it as the job's
-	// worker; it is informational — mutual exclusion lives in the claim
-	// file, whose owner must match for lease renewal.
+	// Owner identifies the fleet worker process executing the job (PID +
+	// start-time nonce; see NewOwnerID). Fleet frontends surface it as
+	// the job's worker; it is informational — the lease and mutual
+	// exclusion live in the claim file, whose owner must match for
+	// renewal. Records written before claims existed also carry a
+	// lease_until field; it is ignored.
 	Owner string `json:"owner,omitempty"`
 	// Sims and Cached mirror the job's progress/outcome so a stateless
 	// frontend can proxy status from the record alone; PolicyID names a
@@ -123,7 +121,9 @@ func (l *journal) remove(id string) {
 	l.clearCancel(id)
 }
 
-// get reads one job's record (the fleet frontend's status-proxy read).
+// get reads one job's record (the fleet frontend's status-proxy read,
+// and a worker's check under a fresh claim that nobody finished the job
+// meanwhile).
 func (l *journal) get(id string) (jobRecord, bool) {
 	buf, err := os.ReadFile(l.path(id))
 	if err != nil {
@@ -184,7 +184,6 @@ func (j *job) recordLocked() jobRecord {
 		Status:     j.status,
 		Attempts:   j.attempts,
 		Error:      j.errMsg,
-		LeaseUntil: j.leaseUntil,
 		Owner:      j.owner,
 		Sims:       j.sims,
 		Cached:     j.cached,
@@ -200,9 +199,9 @@ func (j *job) recordLocked() jobRecord {
 	return rec
 }
 
-// journalLocked writes the job's current state to jl (nil = journaling
-// disabled). Callers must hold j.mu; per-job writes are therefore
-// serialized, so a heartbeat can never overwrite a terminal record.
+// journalLocked writes the job's current state to jl (nil once the job
+// was orphaned). Callers must hold j.mu; per-job writes are therefore
+// serialized, so no late transition can overwrite a terminal record.
 func (j *job) journalLocked(jl *journal) {
 	if jl == nil {
 		return

@@ -2,8 +2,9 @@ package serve_test
 
 // Journal-recovery properties: recovery is idempotent (restarting twice
 // from the same journal snapshot converges to the same jobs and never
-// re-simulates persisted work), expired leases are taken over while
-// live ones are respected, and user-visible job state round-trips the
+// re-simulates persisted work), a live claim is respected until its
+// lease lapses and the reaper frees it, journals written before claims
+// existed still recover, and user-visible job state round-trips the
 // restart.
 
 import (
@@ -20,15 +21,16 @@ import (
 	"testing"
 	"time"
 
+	"pythia/internal/api"
 	"pythia/internal/fault"
 	"pythia/internal/harness"
 	"pythia/internal/results"
 	"pythia/internal/serve"
 )
 
-// ghostQueue journals an admission on srv's journal without ever
-// inserting it into the queue, by crashing the handler (injected panic)
-// inside the admission window. This is the adversarial interleaving the
+// ghostQueue journals an admission on srv's journal without the server
+// ever tracking it, by crashing the handler (injected panic) inside the
+// admission window. This is the adversarial interleaving the
 // journal exists for.
 func ghostQueue(t *testing.T, base, exp string) {
 	t.Helper()
@@ -51,8 +53,10 @@ func quietHTTPServer(t *testing.T, srv *serve.Server) *httptest.Server {
 	return ts
 }
 
-// copyDir clones the journal directory — a filesystem snapshot of the
-// moment of the crash, replayable as many times as the test likes.
+// copyDir clones the job records of a journal directory — a filesystem
+// snapshot of the moment of the crash, replayable as many times as the
+// test likes. Subdirectories (the claim table, released by then) are
+// not copied.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -61,6 +65,9 @@ func copyDir(t *testing.T, src string) string {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
+		if e.IsDir() {
+			continue
+		}
 		buf, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
 			t.Fatal(err)
@@ -180,6 +187,9 @@ func TestJournalRecoveryIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range ents {
+			if e.IsDir() {
+				continue // the claim table; claimsLeft audits it
+			}
 			buf, err := os.ReadFile(filepath.Join(dir, e.Name()))
 			if err != nil {
 				t.Fatal(err)
@@ -196,34 +206,70 @@ func TestJournalRecoveryIdempotent(t *testing.T) {
 				t.Errorf("journal record %s left in state %q after drain", rec.ID, rec.Status)
 			}
 		}
+		if left := claimsLeft(t, dir); len(left) > 0 {
+			t.Errorf("claim files left behind in %s: %v", dir, left)
+		}
 	}
 }
 
-// TestJournalLeaseTakeover: a journaled running job with a still-live
-// lease is not stolen at startup — the reaper waits for the lease to
-// expire, then requeues it. (A live lease may belong to another process
-// sharing the journal directory.)
+// claimsLeft lists the claim files in a journal directory.
+func claimsLeft(t *testing.T, journalDir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(journalDir, "claims"))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range ents {
+		out = append(out, e.Name())
+	}
+	return out
+}
+
+// writeJSONFile lands v as JSON at path, creating parent directories.
+func writeJSONFile(t *testing.T, path string, v any) {
+	t.Helper()
+	buf, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalLeaseTakeover: a journaled running job whose claim file
+// belongs to another process with a live lease is not stolen at startup
+// — it stays queued until the lease lapses. Then the server's reaper,
+// the journal's single reaper, frees the claim, and the job runs exactly
+// once.
 func TestJournalLeaseTakeover(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
 	journalDir := t.TempDir()
 	lease := 1500 * time.Millisecond
 
-	rec := map[string]any{
+	now := time.Now().UTC()
+	writeJSONFile(t, filepath.Join(journalDir, "job-7.json"), map[string]any{
+		"id":         "job-7",
+		"kind":       serve.KindExperiment,
+		"experiment": "table2",
+		"scale":      "tiny",
+		"status":     serve.StatusRunning,
+		"attempts":   1,
+		"created_at": now.Format(time.RFC3339Nano),
+		"updated_at": now.Format(time.RFC3339Nano),
+	})
+	// The claim a live worker process holding the job leaves on disk.
+	writeJSONFile(t, filepath.Join(journalDir, "claims", "job-7.claim"), map[string]any{
 		"id":          "job-7",
-		"kind":        serve.KindExperiment,
-		"experiment":  "table2",
-		"scale":       "tiny",
-		"status":      serve.StatusRunning,
-		"attempts":    1,
-		"lease_until": time.Now().Add(lease).UTC().Format(time.RFC3339Nano),
-		"created_at":  time.Now().UTC().Format(time.RFC3339Nano),
-		"updated_at":  time.Now().UTC().Format(time.RFC3339Nano),
-	}
-	buf, _ := json.Marshal(rec)
-	if err := os.WriteFile(filepath.Join(journalDir, "job-7.json"), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+		"owner":       "pid1-00000000000000ff-foreign",
+		"lease_until": now.Add(lease).Format(time.RFC3339Nano),
+		"claimed_at":  now.Format(time.RFC3339Nano),
+	})
 
 	start := time.Now()
 	srv, err := serve.New(serve.Config{
@@ -231,6 +277,7 @@ func TestJournalLeaseTakeover(t *testing.T) {
 		QueueDepth:       4,
 		ProgressInterval: 10 * time.Millisecond,
 		JournalDir:       journalDir,
+		LeaseTTL:         300 * time.Millisecond, // the reaper looks every 100ms
 		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
 	})
 	if err != nil {
@@ -251,7 +298,7 @@ func TestJournalLeaseTakeover(t *testing.T) {
 			out.Job.Status, time.Since(start), lease)
 	}
 
-	// After expiry the reaper requeues it and it runs to completion.
+	// After expiry the reaper frees the claim and the job runs.
 	done := waitDone(t, ts, "job-7")
 	if done.Status != serve.StatusDone {
 		t.Fatalf("taken-over job ended %q (%s)", done.Status, done.Error)
@@ -262,6 +309,15 @@ func TestJournalLeaseTakeover(t *testing.T) {
 	if took := time.Since(start); took < lease-300*time.Millisecond {
 		t.Errorf("job finished %v after startup, inside the foreign %v lease", took, lease)
 	}
+	if done.Attempts != 2 {
+		t.Errorf("taken-over job has %d attempts, want 2 (the foreign one, then exactly one here)", done.Attempts)
+	}
+	if n := srv.Reaped(); n != 1 {
+		t.Errorf("reaper freed %d claims, want 1", n)
+	}
+	if left := claimsLeft(t, journalDir); len(left) > 0 {
+		t.Errorf("claim files left behind: %v", left)
+	}
 	// nextID resumed past the recovered ID: no collision with new jobs.
 	fresh, code := postRun(t, ts, "table4", "tiny")
 	if code != http.StatusAccepted {
@@ -269,6 +325,80 @@ func TestJournalLeaseTakeover(t *testing.T) {
 	}
 	if serveJobIDLE(fresh.ID, "job-7") {
 		t.Errorf("fresh job ID %q collides with recovered job-7", fresh.ID)
+	}
+}
+
+// TestJournalParentFormatRecovered: a journal written before the claim
+// protocol — records carrying lease_until, no claims/ directory — still
+// recovers. The lease_until field is ignored (without a claim file
+// nobody holds the job), so every open job runs at once, including one
+// whose old-format lease had not yet expired, and each reaches exactly
+// one terminal state; the terminal record is reclaimed.
+func TestJournalParentFormatRecovered(t *testing.T) {
+	harness.ResetCaches()
+	defer harness.ResetCaches()
+	journalDir := copyDir(t, filepath.Join("testdata", "parent-journal"))
+
+	srv, err := serve.New(serve.Config{
+		Store:            results.Open(t.TempDir()),
+		QueueDepth:       4,
+		ProgressInterval: 10 * time.Millisecond,
+		JournalDir:       journalDir,
+		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, srv)
+
+	var list struct {
+		Jobs []serve.JobView `json:"jobs"`
+	}
+	getJSON(t, ts+"/api/v1/runs", &list)
+	var ids []string
+	for _, j := range list.Jobs {
+		ids = append(ids, j.ID)
+	}
+	if want := "[job-2 job-3 job-4]"; fmt.Sprint(ids) != want {
+		t.Fatalf("recovered %v, want %s (job-1 was terminal)", ids, want)
+	}
+	for _, id := range ids {
+		done := waitDone(t, ts, id)
+		if done.Status != serve.StatusDone || !done.Recovered {
+			t.Errorf("%s ended %q (recovered %v, error %q), want done", id, done.Status, done.Recovered, done.Error)
+		}
+		evs := readSSE(t, ts, id)
+		terminal := 0
+		for _, ev := range evs {
+			if api.TerminalStatus(ev.Type) {
+				terminal++
+			}
+		}
+		if terminal != 1 {
+			t.Errorf("%s published %d terminal events, want 1", id, terminal)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(journalDir, "job-1.json")); !os.IsNotExist(err) {
+		t.Errorf("terminal record job-1 not reclaimed (stat err %v)", err)
+	}
+	for _, id := range ids {
+		buf, err := os.ReadFile(filepath.Join(journalDir, id+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec map[string]any
+		if err := json.Unmarshal(buf, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec["status"] != serve.StatusDone {
+			t.Errorf("record %s on disk is %v, want done", id, rec["status"])
+		}
+		if _, ok := rec["lease_until"]; ok {
+			t.Errorf("record %s still carries lease_until after a rewrite", id)
+		}
+	}
+	if left := claimsLeft(t, journalDir); len(left) > 0 {
+		t.Errorf("claim files left behind: %v", left)
 	}
 }
 
@@ -283,26 +413,21 @@ func serveJobIDLE(a, b string) bool {
 }
 
 // TestJournalAbandonsCrashLoopers: a journaled job that already burned
-// through the attempt budget is not requeued — it surfaces as a
-// permanently failed job instead of crash-looping the server forever.
+// through the attempt budget is not run again — the worker that claims
+// it fails it permanently instead of crash-looping forever.
 func TestJournalAbandonsCrashLoopers(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
 	journalDir := t.TempDir()
-	rec := map[string]any{
-		"id":          "job-3",
-		"kind":        serve.KindExperiment,
-		"experiment":  "fig14",
-		"scale":       "tiny",
-		"status":      serve.StatusRunning,
-		"attempts":    3,
-		"lease_until": time.Now().Add(-time.Minute).UTC().Format(time.RFC3339Nano),
-		"created_at":  time.Now().UTC().Format(time.RFC3339Nano),
-	}
-	buf, _ := json.Marshal(rec)
-	if err := os.WriteFile(filepath.Join(journalDir, "job-3.json"), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONFile(t, filepath.Join(journalDir, "job-3.json"), map[string]any{
+		"id":         "job-3",
+		"kind":       serve.KindExperiment,
+		"experiment": "fig14",
+		"scale":      "tiny",
+		"status":     serve.StatusRunning,
+		"attempts":   3,
+		"created_at": time.Now().UTC().Format(time.RFC3339Nano),
+	})
 
 	srv, err := serve.New(serve.Config{
 		Store:            results.Open(t.TempDir()),
@@ -337,7 +462,7 @@ func TestJournalUnresolvableSpecFailsVisibly(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
 	journalDir := t.TempDir()
-	rec := map[string]any{
+	writeJSONFile(t, filepath.Join(journalDir, "job-2.json"), map[string]any{
 		"id":         "job-2",
 		"kind":       serve.KindExperiment,
 		"experiment": "fig14",
@@ -345,11 +470,7 @@ func TestJournalUnresolvableSpecFailsVisibly(t *testing.T) {
 		"status":     serve.StatusQueued,
 		"attempts":   0,
 		"created_at": time.Now().UTC().Format(time.RFC3339Nano),
-	}
-	buf, _ := json.Marshal(rec)
-	if err := os.WriteFile(filepath.Join(journalDir, "job-2.json"), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	srv, err := serve.New(serve.Config{
 		Store:            results.Open(t.TempDir()),

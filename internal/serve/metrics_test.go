@@ -167,3 +167,37 @@ func TestJobTimeline(t *testing.T) {
 		}
 	}
 }
+
+// TestDispatchQueueMetrics: a dispatch frontend with no workers holds
+// every admitted job in the journal backlog, and /healthz queued,
+// pythia_serve_queue_depth and pythia_serve_queue_capacity report that
+// backlog and the admission bound.
+func TestDispatchQueueMetrics(t *testing.T) {
+	srv, err := serve.New(serve.Config{
+		Store:       results.Open(t.TempDir()),
+		JournalDir:  t.TempDir(),
+		Dispatch:    true,
+		QueueDepth:  8,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, srv)
+
+	const n = 3
+	for i := 0; i < n; i++ {
+		if _, code := postRun(t, ts, "table2", "tiny"); code != http.StatusAccepted {
+			t.Fatalf("POST %d = %d", i, code)
+		}
+	}
+	if q := health(t, ts)["queued"]; q != float64(n) {
+		t.Errorf("/healthz queued = %v, want %d", q, n)
+	}
+	if d := metricValue("pythia_serve_queue_depth", nil); d != n {
+		t.Errorf("pythia_serve_queue_depth = %v, want %d", d, n)
+	}
+	if c := metricValue("pythia_serve_queue_capacity", nil); c != 8 {
+		t.Errorf("pythia_serve_queue_capacity = %v, want 8", c)
+	}
+}

@@ -2,18 +2,33 @@
 // service: the first step from batch reproduction toward a system that
 // serves results to many concurrent consumers.
 //
-// Architecture: requests land in a bounded job queue; a single executor
-// goroutine drains it, running one experiment at a time. Each experiment
-// internally fans its simulations out over the harness worker pool
-// (harness.SetWorkers), so the machine stays fully utilized while queue
-// depth — not goroutine count — bounds admitted work. Every completed
-// experiment is persisted in a results.Store; a repeat request (same
-// experiment, same scale, same generator version) is served from the
-// store with zero additional simulation work, observable through the
-// job's sims counter. Progress streams to clients over SSE with full
-// event replay, so late subscribers see the whole history.
+// Architecture: one execution path. Every admitted job is first a
+// record in the job journal (Config.JournalDir, or a temp dir removed
+// at shutdown); a non-terminal record with no claim file is queued.
+// Whoever runs a job claims it with an O_CREATE|O_EXCL claim file that
+// carries the lease (claims.go), runs it through the shared runClaimed
+// path (executor.go), and releases the claim. A standalone server is a
+// frontend plus one in-process worker goroutine: admission rings the
+// worker's wake channel, and the worker claims the frontend's own
+// queued jobs in admission order — the same *job the HTTP handlers
+// read, so status, SSE events and the stage timeline need no journal
+// round trip. With Config.Dispatch the workers are processes instead
+// (RunWorker, driven by the fleet package), and a watcher mirrors their
+// journal writes back into the frontend's jobs. In both modes the
+// frontend runs the journal's single claim reaper, which frees the
+// claims of workers that stopped renewing their leases.
 //
-// Policy-training jobs flow through the same queue, executor and SSE
+// Each experiment internally fans its simulations out over the harness
+// worker pool (harness.SetWorkers), so the machine stays fully utilized
+// while the queue bound — not goroutine count — bounds admitted work.
+// Every completed experiment is persisted in a results.Store; a repeat
+// request (same experiment, same scale, same generator version) is
+// served from the store with zero additional simulation work,
+// observable through the job's sims counter. Progress streams to
+// clients over SSE with full event replay, so late subscribers see the
+// whole history.
+//
+// Policy-training jobs flow through the same journal, claims and SSE
 // machinery: a POST with a "train" body trains a Pythia policy and
 // persists it in the policy.Store, a repeat training request is a store
 // hit with zero simulations (same sims-counter proof), and stored
@@ -24,8 +39,8 @@
 // it, with a terminal "error" SSE event, while the service keeps serving),
 // every job carries a context that DELETE /api/v1/runs/{id} cancels (terminal
 // "canceled" event, in-flight simulations abort at the next chunk
-// boundary and release their worker slots), and Shutdown drains the queue
-// before stopping.
+// boundary and release their worker slots), and Shutdown runs the
+// queued jobs before stopping.
 package serve
 
 import (
@@ -34,6 +49,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -58,9 +74,9 @@ type Config struct {
 	// endpoints (/api/v1/policies, POST-able training jobs). Optional: when
 	// nil those endpoints answer 503 and everything else works unchanged.
 	Policies *policy.Store
-	// QueueDepth bounds the number of jobs waiting to execute (admitted
-	// but unstarted); the default is 16. A full queue rejects launches
-	// with 503 rather than queueing unboundedly.
+	// QueueDepth bounds the journal backlog — admitted jobs that are
+	// neither terminal nor claimed by a worker; the default is 16. A full
+	// backlog rejects launches with 503 rather than queueing unboundedly.
 	QueueDepth int
 	// ProgressInterval is how often a running job samples the simulation
 	// counter into an SSE progress event; the default is 250ms.
@@ -77,22 +93,22 @@ type Config struct {
 	// horizons).
 	ExtraScales map[string]harness.Scale
 
-	// JournalDir enables the durable job journal: every accepted job is
-	// persisted there (spec + state transitions), and New recovers
-	// non-terminal jobs from it — queued jobs requeue immediately,
-	// running jobs requeue once their lease expires. Empty disables
-	// journaling (jobs live only in process memory, the pre-journal
-	// behavior). Custom scales in ExtraScales must be re-registered for
-	// their journaled jobs to be recoverable.
+	// JournalDir is the durable job journal: every accepted job is
+	// persisted there (spec + state transitions), and New recovers the
+	// non-terminal jobs — each runs again once any claim on it lapses.
+	// Empty uses a fresh temp dir that Close/Shutdown removes, so jobs
+	// live only as long as the process. Custom scales in ExtraScales
+	// must be re-registered for their journaled jobs to be recoverable.
 	JournalDir string
-	// LeaseTTL is how long a running job's lease lasts between
-	// heartbeats (renewed by the progress sampler); the default is 30s.
-	// A crashed server stops renewing, and recovery requeues the job
-	// once the lease lapses.
+	// LeaseTTL is how long a claim's lease lasts between heartbeats (the
+	// running worker's progress sampler renews it in the claim file at
+	// TTL/3); the default is 30s. The reaper checks every TTL/3 and
+	// frees lapsed claims, so a crashed worker's job runs again once
+	// its lease expires.
 	LeaseTTL time.Duration
 	// MaxAttempts bounds how many times a job may enter execution —
-	// transient-failure retries and crash-recovery dispatches both
-	// count — before it fails permanently; the default is 3.
+	// transient-failure retries and re-runs after a crash both count —
+	// before it fails permanently; the default is 3.
 	MaxAttempts int
 	// RetryBase is the first retry backoff; attempt n waits up to
 	// RetryBase·2^(n-1), full-jittered, capped at 5s. Default 100ms.
@@ -104,13 +120,13 @@ type Config struct {
 	// work before letting a probe through; default 15s.
 	BreakerCooldown time.Duration
 
-	// Dispatch turns the server into a stateless fleet frontend: admitted
-	// jobs are journaled but never executed in-process — worker processes
-	// (serve.RunWorker over the same JournalDir) claim and execute them,
-	// and a watcher goroutine proxies status, progress and terminal
-	// events back from the journal and the shared stores. Requires
-	// JournalDir. Cancellation crosses the process boundary through
-	// claim acquisition (queued jobs) or cancel markers (claimed jobs).
+	// Dispatch says whether the workers are processes rather than the
+	// one in-process goroutine: worker processes (serve.RunWorker over
+	// the same JournalDir) claim and execute the admitted jobs, and a
+	// watcher goroutine proxies status, progress and terminal events back
+	// from the journal and the shared stores. Requires JournalDir.
+	// Cancellation crosses the process boundary through the claim
+	// (queued jobs) or cancel markers (claimed jobs).
 	Dispatch bool
 
 	// FleetStatus, when set, backs GET /api/v1/fleet: the serving layer
@@ -128,15 +144,14 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	store *results.Store
-	queue chan *job
 	wg    sync.WaitGroup
 
 	// baseCtx parents every job context; baseCancel is the hard-stop
 	// lever (Close, or Shutdown past its deadline).
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	// drain tells the executor to exit once the queue is empty; closing
-	// is the shutdown signal.
+	// drain tells the background goroutines to stop — the in-process
+	// worker once no queued job is left; closing is the shutdown signal.
 	drain     chan struct{}
 	drainOnce sync.Once
 	closing   atomic.Bool
@@ -146,41 +161,50 @@ type Server struct {
 	order  []string
 	nextID int64
 
-	// journal is the durable job log (nil when Config.JournalDir is
-	// empty); recovered counts the jobs it requeued at startup.
-	journal   *journal
-	recovered int
+	// journal is the job log and claim table (tempJournal: a temp dir
+	// removed at shutdown); recovered counts the jobs re-tracked from it
+	// at startup, reaped the expired claims the reaper freed.
+	journal     *journal
+	tempJournal bool
+	recovered   int
+	reaped      atomic.Int64
 
 	// storeBrk and polBrk are the per-store circuit breakers guarding
 	// result and policy persistence respectively (shared with exec).
 	storeBrk *breaker
 	polBrk   *breaker
 
-	// exec is the job-execution engine the executor goroutine drains the
-	// queue into; in dispatch mode it is never used (workers execute).
+	// exec runs the in-process worker's jobs (unused with Dispatch).
 	exec *executor
-
-	// frontOwner is this frontend's lease-owner identity, used in
-	// dispatch mode to claim queued jobs for prompt cancellation.
-	frontOwner string
+	// wake rings the in-process worker (capacity 1: a ring is pending or
+	// not): admission rings it, and so does every reaper pass.
+	wake chan struct{}
+	// owner is this server's claim-owner identity: the in-process
+	// worker's, and the frontend's when it claims a queued job to cancel
+	// it.
+	owner string
 
 	log *slog.Logger
 
 	started time.Time
 }
 
-// New builds a Server and starts its executor. Callers own the HTTP
-// listener (mount Handler) and must stop the server with Shutdown (drain)
-// or Close (abort) to stop the executor.
+// serverSeq distinguishes the claim-owner identities of servers built in
+// one process.
+var serverSeq atomic.Int64
+
+// New builds a Server and starts its background goroutines: the claim
+// reaper, plus the in-process worker (or, with Dispatch, the watcher).
+// Callers own the HTTP listener (mount Handler) and must stop the
+// server with Shutdown (drain) or Close (abort).
 //
-// With Config.JournalDir set, New first recovers the journal: jobs that
-// were queued (or running with an expired lease) when the previous
-// process died are rebuilt and requeued ahead of new admissions, and
-// running jobs whose lease is still live are taken over once it lapses.
-// Re-execution is at-least-once but idempotent — results and policies
-// are content-addressed and singleflight-guarded, so a recovered job
-// that already persisted its result is a store hit with zero new
-// simulations.
+// New first recovers the journal: its non-terminal jobs are re-tracked
+// as queued, ahead of new admissions, and run again once any claim on
+// them lapses — a claim whose lease is live may belong to another
+// process sharing the journal. Re-execution is at-least-once but
+// idempotent — results and policies are content-addressed and
+// singleflight-guarded, so a recovered job that already persisted its
+// result is a store hit with zero new simulations.
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("serve: Config.Store is required")
@@ -216,18 +240,45 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Dispatch && cfg.JournalDir == "" {
 		return nil, fmt.Errorf("serve: Dispatch mode requires Config.JournalDir (the journal is the frontend-worker coordination substrate)")
 	}
+	dir, temp := cfg.JournalDir, cfg.JournalDir == ""
+	if temp {
+		var err error
+		if dir, err = os.MkdirTemp("", "pythia-journal-"); err != nil {
+			return nil, fmt.Errorf("serve: temp journal: %w", err)
+		}
+	}
+	jl, err := openJournal(dir)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
-		cfg:        cfg,
-		store:      cfg.Store,
-		drain:      make(chan struct{}),
-		jobs:       make(map[string]*job),
-		storeBrk:   newBreaker("results", cfg.BreakerThreshold, cfg.BreakerCooldown),
-		polBrk:     newBreaker("policies", cfg.BreakerThreshold, cfg.BreakerCooldown),
-		frontOwner: NewOwnerID("front"),
-		log:        log,
-		started:    time.Now().UTC(),
+		cfg:         cfg,
+		store:       cfg.Store,
+		drain:       make(chan struct{}),
+		jobs:        make(map[string]*job),
+		journal:     jl,
+		tempJournal: temp,
+		storeBrk:    newBreaker("results", cfg.BreakerThreshold, cfg.BreakerCooldown),
+		polBrk:      newBreaker("policies", cfg.BreakerThreshold, cfg.BreakerCooldown),
+		wake:        make(chan struct{}, 1),
+		owner:       NewOwnerID("serve" + strconv.FormatInt(serverSeq.Add(1), 10)),
+		log:         log,
+		started:     time.Now().UTC(),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
+	s.exec = &executor{
+		store:            cfg.Store,
+		policies:         cfg.Policies,
+		storeBrk:         s.storeBrk,
+		polBrk:           s.polBrk,
+		journal:          jl,
+		leaseTTL:         cfg.LeaseTTL,
+		maxAttempts:      cfg.MaxAttempts,
+		retryBase:        cfg.RetryBase,
+		progressInterval: cfg.ProgressInterval,
+		owner:            s.owner,
+		log:              log,
+	}
 
 	// A crash mid-WriteAtomic must not leave temp litter across
 	// restarts: sweep all three stores now, not on their first write.
@@ -237,88 +288,51 @@ func New(cfg Config) (*Server, error) {
 	}
 	harness.SweepTraceCache()
 
-	var jl *journal
-	if cfg.JournalDir != "" {
-		var err error
-		if jl, err = openJournal(cfg.JournalDir); err != nil {
-			return nil, err
-		}
-		s.journal = jl
-	}
-	s.exec = &executor{
-		store:            cfg.Store,
-		policies:         cfg.Policies,
-		storeBrk:         s.storeBrk,
-		polBrk:           s.polBrk,
-		journal:          s.journal,
-		leaseTTL:         cfg.LeaseTTL,
-		maxAttempts:      cfg.MaxAttempts,
-		retryBase:        cfg.RetryBase,
-		progressInterval: cfg.ProgressInterval,
-		log:              log,
-	}
-
-	if cfg.Dispatch {
-		// Fleet frontend: re-track every journaled job (the watcher syncs
-		// each to its record's real state on the first tick — workers may
-		// have kept executing while no frontend was up) and proxy instead
-		// of executing.
-		s.recoverDispatch(jl.load())
-		s.queue = make(chan *job, cfg.QueueDepth)
-		if s.recovered > 0 {
-			mRecovered.Add(int64(s.recovered))
-			s.log.Info("journal re-tracked", "jobs", s.recovered)
-		}
-		s.registerMetrics()
-		s.wg.Add(1)
-		go s.watcher()
-		return s, nil
-	}
-
-	var requeue, pending []*job
-	if s.journal != nil {
-		requeue, pending = s.recover(jl.load())
-	}
-	// The recovered backlog rides ahead of the configured depth so a
-	// full journal can never deadlock startup; the extra capacity drains
-	// as the backlog executes.
-	s.queue = make(chan *job, cfg.QueueDepth+len(requeue)+len(pending))
-	for _, j := range requeue {
-		j.requeued() // re-land as queued before it can run
-		mRequeues.Inc()
-		s.queue <- j
-	}
+	s.recover(jl.load())
 	if s.recovered > 0 {
 		mRecovered.Add(int64(s.recovered))
-		s.log.Info("journal recovery complete",
-			"recovered", s.recovered, "requeued", len(requeue), "pending_leases", len(pending))
-	}
-	if len(pending) > 0 {
-		s.wg.Add(1)
-		go s.reaper(pending)
+		s.log.Info("journal recovered", "jobs", s.recovered)
 	}
 	s.registerMetrics()
-	s.wg.Add(1)
-	go s.executor()
+	s.wg.Add(2)
+	go s.reapClaims()
+	if cfg.Dispatch {
+		go s.watcher()
+	} else {
+		go s.localWorker()
+	}
 	return s, nil
 }
 
-// recoverDispatch re-tracks journaled jobs on a fleet frontend restart:
-// nothing is requeued or executed here — workers own execution — the
-// frontend only rebuilds its in-memory views (terminal history included;
-// the watcher adopts each record's real state, fetching artifacts from
-// the shared stores, on its first tick).
-func (s *Server) recoverDispatch(recs []jobRecord) {
+// recover re-tracks journaled jobs at startup — the one full journal
+// scan a server makes. Non-terminal records become queued jobs again,
+// and a job whose spec no longer resolves is registered failed, visibly.
+// A standalone server reclaims terminal records; a dispatch frontend
+// keeps them as history, since workers may have finished jobs while no
+// frontend was up (the watcher adopts each record's state, fetching
+// artifacts from the shared stores, on its first tick).
+func (s *Server) recover(recs []jobRecord) {
+	b := &jobBuilder{base: s.baseCtx, jl: s.journal, extraScales: s.cfg.ExtraScales}
 	for _, rec := range recs {
 		if n := jobIDNum(rec.ID); n > s.nextID {
 			s.nextID = n
 		}
-		j, err := s.rebuildJob(rec)
+		if terminalStatus(rec.Status) && !s.cfg.Dispatch {
+			s.journal.remove(rec.ID)
+			continue
+		}
+		j, err := b.build(rec)
+		j.recovered = true
+		j.publish("status", j.viewLocked()) // not yet visible to other goroutines
 		s.jobs[rec.ID] = j
 		s.order = append(s.order, rec.ID)
 		s.recovered++
-		if err != nil {
+		switch {
+		case terminalStatus(rec.Status):
+		case err != nil:
 			j.finish(nil, false, 0, fmt.Errorf("unrecoverable job spec: %w", err))
+		default:
+			mRequeues.Inc()
 		}
 	}
 }
@@ -396,104 +410,106 @@ func (s *Server) adoptTerminalRecord(j *job, rec jobRecord) {
 		"worker", rec.Owner, "sims", rec.Sims, "attempts", rec.Attempts)
 }
 
-// recover rebuilds journaled jobs after a restart: terminal records are
-// reclaimed, queued ones (and expired-lease running ones) are returned
-// for immediate requeue, and running jobs whose lease is still live are
-// returned as pending for the reaper to take over at expiry (a live
-// lease may belong to another process sharing the journal). Jobs whose
-// spec no longer resolves, or that already burned the attempt budget
-// (a crash loop), are registered permanently failed instead of
-// requeued.
-func (s *Server) recover(recs []jobRecord) (requeue, pending []*job) {
-	now := time.Now().UTC()
-	for _, rec := range recs {
-		if n := jobIDNum(rec.ID); n > s.nextID {
-			s.nextID = n
-		}
-		if terminalStatus(rec.Status) {
-			s.journal.remove(rec.ID)
+// localWorker is a standalone server's in-process worker: woken over
+// s.wake, it claims the frontend's own queued jobs in admission order
+// and runs each through runClaimed. Draining, it runs what is left and
+// exits; a job another process holds is left to that process.
+func (s *Server) localWorker() {
+	defer s.wg.Done()
+	draining := false
+	for s.baseCtx.Err() == nil {
+		if s.runNext() {
 			continue
 		}
-		j, err := s.rebuildJob(rec)
-		s.jobs[rec.ID] = j
-		s.order = append(s.order, rec.ID)
-		s.recovered++
-		switch {
-		case err != nil:
-			j.finish(nil, false, 0, fmt.Errorf("unrecoverable job spec: %w", err))
-		case rec.Attempts >= s.cfg.MaxAttempts:
-			j.finish(nil, false, 0, fmt.Errorf("abandoned after %d attempts (crash loop): %s", rec.Attempts, rec.Error))
-		case rec.Status == StatusRunning && rec.LeaseUntil.After(now):
-			pending = append(pending, j)
-		default:
-			requeue = append(requeue, j)
-		}
-	}
-	return requeue, pending
-}
-
-// rebuildJob reconstructs a job from its journal record, resolving the
-// spec through the same tables admission used (jobBuilder, shared with
-// the worker role), then carries the record's durable state onto it.
-func (s *Server) rebuildJob(rec jobRecord) (*job, error) {
-	b := &jobBuilder{base: s.baseCtx, extraScales: s.cfg.ExtraScales}
-	j, err := b.build(rec)
-	s.adoptRecovered(j, rec)
-	return j, err
-}
-
-// adoptRecovered carries durable state from the record onto a rebuilt
-// job. The job is not yet visible to other goroutines.
-func (s *Server) adoptRecovered(j *job, rec jobRecord) {
-	j.jl = s.journal
-	j.recovered = true
-	j.attempts = rec.Attempts
-	j.leaseUntil = rec.LeaseUntil // the reaper waits this out before requeueing
-	j.created = rec.CreatedAt
-	j.status = StatusQueued
-	j.publish("status", j.viewLocked())
-}
-
-// reaper waits out the live leases of running jobs recovered from the
-// journal and requeues each as its lease expires; pending jobs stay
-// visible as queued in the listing meanwhile. The enqueue blocks if the
-// queue is momentarily full — the reaper, unlike admission, may wait.
-func (s *Server) reaper(pending []*job) {
-	defer s.wg.Done()
-	sort.Slice(pending, func(i, j int) bool {
-		return pending[i].leaseUntil.Before(pending[j].leaseUntil)
-	})
-	for _, j := range pending {
-		wait := time.Until(j.leaseUntil)
-		if wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-s.baseCtx.Done():
-				return
-			}
-		}
-		j.requeued() // journal the takeover point
-		mRequeues.Inc()
-		s.log.Info("lease expired, job requeued", "job", j.id)
-		select {
-		case s.queue <- j:
-		case <-s.baseCtx.Done():
+		if draining {
 			return
 		}
+		select {
+		case <-s.wake:
+		case <-s.drain:
+			draining = true
+		case <-s.baseCtx.Done():
+		}
+	}
+}
+
+// runNext claims and runs the oldest queued job nobody else holds; it
+// reports whether it found one.
+func (s *Server) runNext() bool {
+	s.mu.Lock()
+	var queued []*job
+	for _, id := range s.order {
+		j := s.jobs[id]
+		if st, _ := j.state(); st == StatusQueued {
+			queued = append(queued, j)
+		}
+	}
+	s.mu.Unlock()
+	for _, j := range queued {
+		if !s.journal.claim(j.id, s.owner, s.cfg.LeaseTTL) {
+			continue // held elsewhere, or a lapsed claim the reaper will free
+		}
+		// A worker process sharing the journal may have run the job to
+		// its end meanwhile.
+		if rec, ok := s.journal.get(j.id); ok && terminalStatus(rec.Status) {
+			s.adoptTerminalRecord(j, rec)
+			s.journal.releaseClaim(j.id, s.owner)
+			continue
+		}
+		s.exec.runClaimed(j)
+		return true
+	}
+	return false
+}
+
+// ring wakes the in-process worker without blocking.
+func (s *Server) ring() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// reapClaims is the journal's single claim reaper: every LeaseTTL/3 it
+// frees the claims whose lease lapsed (a crashed or wedged worker's),
+// which puts their jobs back in line, then rings the in-process worker
+// to look. Claims this server holds never count as lapsed — it is
+// alive.
+func (s *Server) reapClaims() {
+	defer s.wg.Done()
+	tick := time.NewTicker(s.cfg.LeaseTTL / 3)
+	defer tick.Stop()
+	for {
+		select {
+		case <-s.drain:
+			return
+		case <-s.baseCtx.Done():
+			return
+		case <-tick.C:
+		}
+		if ids := s.journal.reapExpiredClaims(s.cfg.LeaseTTL, s.owner); len(ids) > 0 {
+			s.reaped.Add(int64(len(ids)))
+			mRequeues.Add(int64(len(ids)))
+			s.log.Warn("expired claims reaped, jobs requeued", "jobs", ids)
+		}
+		s.ring()
 	}
 }
 
 // Shutdown gracefully stops the server: admission closes immediately
-// (launches get 503), then the executor drains every queued job to
-// completion before exiting. If ctx expires first, the drain turns into
-// an abort — the base context is canceled, so the in-flight job ends
-// "canceled" at its next chunk boundary and the remaining queued jobs
-// are marked canceled as the executor pops them. Shutdown returns when
-// the executor has exited; it is idempotent and safe to race with Close.
+// (launches get 503), then the in-process worker runs every queued job
+// to completion before exiting. If ctx expires first, the drain turns
+// into an abort — the base context is canceled, so the in-flight job
+// ends "canceled" at its next chunk boundary. Jobs still open after that
+// (left by the abort, or held by another process) end "canceled" for
+// this server's clients; their records keep the pre-cancel state, so the
+// next server or fleet worker runs them. Shutdown returns when the
+// background goroutines have exited; it is idempotent and safe to race
+// with Close.
 func (s *Server) Shutdown(ctx context.Context) {
 	// The closing transition is taken under s.mu — the same lock admission
-	// holds across its check-and-enqueue — so after this critical section
-	// no launch can observe closing == false and enqueue later.
+	// holds across its check-and-register — so after this critical
+	// section no launch can observe closing == false and register later.
 	s.mu.Lock()
 	s.closing.Store(true)
 	s.mu.Unlock()
@@ -510,17 +526,20 @@ func (s *Server) Shutdown(ctx context.Context) {
 		<-done
 	}
 	s.baseCancel()
-	// A launch that won the race (enqueued before the closing transition
-	// above) may still have slipped its job in after the executor drained
-	// and exited; finish any leftovers here — every admitted job is
-	// guaranteed a terminal event, shutdown or not.
-	for {
-		select {
-		case j := <-s.queue:
-			j.finish(nil, false, 0, context.Canceled)
-		default:
-			return
+	// Every admitted job is guaranteed a terminal event, shutdown or not.
+	s.mu.Lock()
+	var open []*job
+	for _, j := range s.jobs {
+		if !j.terminal() {
+			open = append(open, j)
 		}
+	}
+	s.mu.Unlock()
+	for _, j := range open {
+		j.finish(nil, false, 0, context.Canceled)
+	}
+	if s.tempJournal {
+		os.RemoveAll(s.journal.dir)
 	}
 }
 
@@ -534,12 +553,16 @@ func (s *Server) Close() {
 }
 
 // Recovered reports how many jobs were rebuilt from the journal at
-// startup (0 without a journal).
+// startup.
 func (s *Server) Recovered() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recovered
 }
+
+// Reaped reports how many expired claims the reaper has freed — jobs of
+// crashed or wedged workers put back in line.
+func (s *Server) Reaped() int64 { return s.reaped.Load() }
 
 // resolveScale maps a scale name through ExtraScales, then the harness
 // presets. An empty name means the harness default.
@@ -548,33 +571,6 @@ func (s *Server) resolveScale(name string) (harness.Scale, error) {
 		return sc, nil
 	}
 	return harness.ScaleByName(name)
-}
-
-// --- Executor ---
-
-// executor drains the queue into the execution engine (executor.go) —
-// the single-process role's job loop. Fleet workers drain the shared
-// journal through the same engine instead; see worker.go.
-func (s *Server) executor() {
-	defer s.wg.Done()
-	for {
-		select {
-		case j := <-s.queue:
-			s.exec.execute(j)
-		case <-s.drain:
-			// Shutdown: finish whatever is queued (each job still honors
-			// its own context, so an aborted shutdown cancels them), then
-			// exit.
-			for {
-				select {
-				case j := <-s.queue:
-					s.exec.execute(j)
-				default:
-					return
-				}
-			}
-		}
-	}
 }
 
 // --- HTTP API ---
@@ -765,16 +761,15 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		j = newJob(s.baseCtx, id, exp, scaleName, sc)
 	}
 	j.jl = s.journal
-	// Journal before enqueue: a crash in the window between the two (the
-	// FPAdmitCrash failpoint) leaves a journaled job that never reached
-	// the queue — recovery requeues it, which is the at-least-once side
-	// of the durability contract (content-addressed stores make the
-	// possible re-execution idempotent).
-	j.requeued()
+	// The journal write is the enqueue. A crash between it and the
+	// registration below (the FPAdmitCrash failpoint) leaves a journaled
+	// job no frontend tracks — a fleet worker or the next server runs
+	// it, which is the at-least-once side of the durability contract
+	// (content-addressed stores make the possible re-execution
+	// idempotent).
+	j.save()
 	if err := fault.Hit(FPAdmitCrash); err != nil {
-		if s.journal != nil {
-			s.journal.remove(id)
-		}
+		s.journal.remove(id)
 		j.cancel()
 		writeError(w, api.Errorf(api.CodeInternal, "admission failed: %v", err))
 		return
@@ -783,82 +778,57 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.closing.Load() {
 		s.mu.Unlock()
-		if s.journal != nil {
-			s.journal.remove(id)
-		}
+		s.journal.remove(id)
 		j.cancel()
 		shedCounter("closing").Inc()
 		writeError(w, api.Errorf(api.CodeShuttingDown, "server is shutting down"))
 		return
 	}
-	if s.cfg.Dispatch {
-		// Fleet frontend: the journal record written above IS the enqueue —
-		// workers scan for claimable records; nothing enters the in-process
-		// queue. The admission bound is the count of tracked non-terminal
-		// jobs (the fleet-wide backlog), playing the role queue capacity
-		// plays in the single-process path.
-		if s.backlogLocked() >= s.cfg.QueueDepth {
-			s.mu.Unlock()
-			if s.journal != nil {
-				s.journal.remove(id)
-			}
-			j.cancel()
-			shedCounter("queue_full").Inc()
-			s.log.Warn("launch shed: fleet backlog full", "depth", s.cfg.QueueDepth)
-			writeError(w, api.Error{
-				Code:          api.CodeQueueFull,
-				Message:       fmt.Sprintf("fleet backlog full (%d jobs open)", s.cfg.QueueDepth),
-				RetryAfterSec: 1,
-			})
-			return
-		}
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		s.pruneLocked()
+	if s.backlogLocked() >= s.cfg.QueueDepth {
 		s.mu.Unlock()
-	} else {
-		// The enqueue attempt is non-blocking, so holding mu across it keeps
-		// admission atomic: a job is registered iff it made it into the queue.
-		select {
-		case s.queue <- j:
-			s.jobs[id] = j
-			s.order = append(s.order, id)
-			s.pruneLocked()
-			s.mu.Unlock()
-		default:
-			s.mu.Unlock()
-			// The rejected job was never admitted: drop its journal record and
-			// release its context registration on baseCtx so retry storms
-			// against a full queue don't accumulate canceled children.
-			if s.journal != nil {
-				s.journal.remove(id)
-			}
-			j.cancel()
-			shedCounter("queue_full").Inc()
-			s.log.Warn("launch shed: queue full", "depth", s.cfg.QueueDepth)
-			writeError(w, api.Error{
-				Code:          api.CodeQueueFull,
-				Message:       fmt.Sprintf("job queue full (%d queued)", s.cfg.QueueDepth),
-				RetryAfterSec: 1,
-			})
-			return
-		}
+		// The rejected job was never admitted: drop its journal record and
+		// release its context registration on baseCtx so retry storms
+		// against a full queue don't accumulate canceled children.
+		s.journal.remove(id)
+		j.cancel()
+		shedCounter("queue_full").Inc()
+		s.log.Warn("launch shed: queue full", "depth", s.cfg.QueueDepth)
+		writeError(w, api.Error{
+			Code:          api.CodeQueueFull,
+			Message:       fmt.Sprintf("job queue full (%d queued)", s.cfg.QueueDepth),
+			RetryAfterSec: 1,
+		})
+		return
 	}
+	s.jobs[id] = j
+	s.order = append(s.order, id)
+	s.pruneLocked()
+	s.mu.Unlock()
+	s.ring()
 	s.log.Info("job admitted", "job", id, "kind", j.kind,
 		"experiment", j.expID, "scale", scaleName)
 	writeJSON(w, http.StatusAccepted, api.JobResponse{Job: j.view()})
 }
 
-// backlogLocked counts tracked non-terminal jobs — the fleet frontend's
-// admission bound. Callers hold s.mu.
+// backlogLocked counts the journal backlog: tracked jobs that are
+// neither terminal nor claimed — admitted work no worker has started.
+// It is the admission bound (Config.QueueDepth) and what /healthz and
+// /metrics report as queued, in both modes. Callers hold s.mu.
 func (s *Server) backlogLocked() int {
 	n := 0
-	for _, j := range s.jobs {
-		if !j.terminal() {
+	for id, j := range s.jobs {
+		if !j.terminal() && !s.journal.claimed(id) {
 			n++
 		}
 	}
 	return n
+}
+
+// backlog is backlogLocked for callers that don't hold s.mu.
+func (s *Server) backlog() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.backlogLocked()
 }
 
 // shedDegraded answers a launch that needs a degraded store: 503 with a
@@ -891,9 +861,7 @@ func (s *Server) pruneLocked() {
 	for _, id := range s.order {
 		if drop > 0 && s.jobs[id].terminal() {
 			delete(s.jobs, id)
-			if s.journal != nil {
-				s.journal.remove(id)
-			}
+			s.journal.remove(id)
 			drop--
 			continue
 		}
@@ -945,43 +913,31 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 			"job %q is already %s; nothing to cancel", j.id, j.view().Status))
 		return
 	}
-	if s.cfg.Dispatch {
-		s.cancelDispatched(j)
-		writeJSON(w, http.StatusOK, api.JobResponse{Job: j.view()})
-		return
-	}
-	// A DELETE is an explicit client decision: the terminal state it
-	// causes is journaled, unlike shutdown-driven cancellation (which
-	// leaves the journal requeue-able).
-	j.markUserCanceled()
-	// Cancel the context first so a job mid-transition (popped from the
-	// queue but not yet running) still observes it; then, if the executor
-	// hasn't picked the job up, finish it here for a prompt terminal event
-	// (finish is idempotent, so racing the executor's own finish is safe).
-	j.cancel()
-	if v := j.view(); v.Status == StatusQueued {
-		j.finish(nil, false, 0, context.Canceled)
-	}
+	s.cancelJob(j)
 	writeJSON(w, http.StatusOK, api.JobResponse{Job: j.view()})
 }
 
-// cancelDispatched cancels a job whose execution lives (or will live) in
-// a worker process. Contexts don't cross process boundaries, so the
-// cancellation races through the claim protocol instead: the frontend
-// tries to claim the job itself — winning means no worker has it (still
-// queued fleet-wide), and the job turns terminal right here, the claim
-// making that decision visible to every scanning worker before the
-// journal write lands. Losing means some worker owns it: a cancel
-// marker asks that worker to abort at its next heartbeat, and the
-// watcher adopts the resulting terminal record.
-func (s *Server) cancelDispatched(j *job) {
+// cancelJob cancels a queued or running job. A DELETE is an explicit
+// client decision, so the terminal state it causes is journaled, unlike
+// shutdown-driven cancellation (which leaves the job requeue-able). The
+// context cancel reaches a run in this process at its next chunk
+// boundary. Then the frontend races for the job's claim: winning means
+// nobody runs it, so it turns terminal right here — the claim makes
+// that decision visible to every worker before the journal write lands.
+// Losing to another process leaves a cancel marker, which that worker
+// honors at its next heartbeat; the frontend then adopts the terminal
+// record.
+func (s *Server) cancelJob(j *job) {
 	j.markUserCanceled()
-	if s.journal.claim(j.id, s.frontOwner, s.cfg.LeaseTTL) {
-		j.cancel()
+	j.cancel()
+	if s.journal.claim(j.id, s.owner, s.cfg.LeaseTTL) {
 		j.finish(nil, false, 0, context.Canceled)
-		s.journal.releaseClaim(j.id, s.frontOwner)
+		s.journal.releaseClaim(j.id, s.owner)
 		s.log.Info("queued job canceled", "job", j.id)
 		return
+	}
+	if c, _ := s.journal.claimState(j.id); c.Owner == s.owner {
+		return // this server's worker runs it; the context cancel suffices
 	}
 	if err := s.journal.markCancel(j.id); err != nil {
 		s.log.Warn("cancel marker write failed", "job", j.id, "error", err.Error())
@@ -1029,7 +985,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				// Channel closed: the job is terminal. A subscriber that
 				// fell behind may have had the terminal event dropped from
-				// its buffer (publish never blocks the executor), so
+				// its buffer (publish never blocks the worker), so
 				// synthesize it from the job's final state before ending
 				// the stream — every client is guaranteed a terminal event.
 				if !sawTerminal {
@@ -1143,18 +1099,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Jobs:          jobs,
 		QueueDepth:    s.cfg.QueueDepth,
-		Queued:        len(s.queue),
+		Queued:        s.backlog(),
 		Closing:       s.closing.Load(),
 		Sims:          harness.SimCount(),
 		Workers:       harness.Workers(),
 		Stores:        s.storesHealth(),
-	}
-	if s.journal != nil {
-		health.Journal = &api.JournalHealth{
+		Journal: &api.JournalHealth{
 			Dir:         s.journal.dir,
 			Recovered:   s.recovered,
 			WriteErrors: s.journal.writeErrs.Load(),
-		}
+		},
 	}
 	writeJSON(w, http.StatusOK, health)
 }

@@ -1,13 +1,14 @@
 package serve
 
 // The fleet worker role: a thin process loop that drains jobs from a
-// shared journal directory through the same execution engine the
-// standalone server uses (executor.go). Workers hold no HTTP surface
-// and no queue — the journal IS the queue: a non-terminal record with
-// no claim file is claimable, the O_CREATE|O_EXCL claim is the
-// arbitration, and every state transition lands in the record where the
-// fleet frontend's watcher picks it up. pythia-serve -worker runs this
-// loop; the fleet coordinator spawns and scales such processes.
+// shared journal directory through the same runClaimed path a
+// standalone server's in-process worker uses (executor.go). Workers
+// hold no HTTP surface and no queue — the journal IS the queue: a
+// non-terminal record with no claim file is claimable, the
+// O_CREATE|O_EXCL claim is the arbitration, and every state transition
+// lands in the record where the fleet frontend's watcher picks it up.
+// pythia-serve -worker runs this loop; the fleet coordinator spawns and
+// scales such processes.
 
 import (
 	"context"
@@ -71,6 +72,7 @@ type worker struct {
 	exec    *executor
 	owner   string
 	ctx     context.Context
+	build   *jobBuilder
 	log     *slog.Logger
 	started time.Time
 
@@ -152,8 +154,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (int64, error) {
 			retryBase:        cfg.RetryBase,
 			progressInterval: cfg.ProgressInterval,
 			owner:            owner,
+			watchCancels:     true,
 			log:              log.With("worker", owner),
 		},
+		build:   &jobBuilder{base: ctx, jl: jl, extraScales: cfg.ExtraScales},
 		started: time.Now().UTC(),
 	}
 	w.log.Info("worker up", "journal", cfg.JournalDir, "pid", os.Getpid())
@@ -204,71 +208,46 @@ func (w *worker) run() (int64, error) {
 // the fleet approximates the frontend's FIFO admission order.
 func (w *worker) drainOne() bool {
 	for _, rec := range w.jl.load() {
-		if terminalStatus(rec.Status) {
-			continue
-		}
-		if _, claimed := w.jl.claimState(rec.ID); claimed {
+		if terminalStatus(rec.Status) || w.jl.claimed(rec.ID) {
 			continue
 		}
 		if !w.jl.claim(rec.ID, w.owner, w.cfg.LeaseTTL) {
 			continue // lost the race for this one; try the next
 		}
-		w.runClaimed(rec)
+		// Re-read under the claim: another worker may have run the job to
+		// its end and released it since the scan.
+		cur, ok := w.jl.get(rec.ID)
+		if !ok || terminalStatus(cur.Status) {
+			w.jl.releaseClaim(rec.ID, w.owner)
+			continue
+		}
+		w.runRecord(cur)
 		return true
 	}
 	return false
 }
 
-// runClaimed executes one job this worker just claimed.
-func (w *worker) runClaimed(rec jobRecord) {
-	// A cancel marker may have landed while the job sat queued (the
-	// frontend lost the claim race to nobody — the marker is its fallback
-	// signal); honor it before spending any work.
-	if w.jl.cancelRequested(rec.ID) {
-		w.finishCanceled(rec)
-		w.jl.releaseClaim(rec.ID, w.owner)
-		return
-	}
-	// The attempt budget is fleet-wide, carried by the record: a job that
-	// kills every worker that touches it (crash loop) gets abandoned here
-	// on its way into yet another execution, exactly like single-process
-	// recovery abandons it at startup.
-	if rec.Attempts >= w.cfg.MaxAttempts {
-		w.abandon(rec)
-		w.jl.releaseClaim(rec.ID, w.owner)
-		return
-	}
-
-	j, err := w.rebuild(rec)
+// runRecord executes one claimed record through the shared runClaimed
+// path.
+func (w *worker) runRecord(rec jobRecord) {
+	j, err := w.build.build(rec)
 	if err != nil {
 		w.log.Warn("unrecoverable job spec", "job", rec.ID, "error", err.Error())
 		j.finish(nil, false, 0, fmt.Errorf("unrecoverable job spec: %w", err))
 		w.jl.releaseClaim(rec.ID, w.owner)
 		return
 	}
+	j.owner = w.owner // not yet visible to any other goroutine
 	w.setState("busy", rec.ID)
 	startSims := harness.SimCount()
-	w.exec.execute(j)
+	finished := w.exec.runClaimed(j)
 	executed := harness.SimCount() - startSims
-
-	if j.lostLease() {
-		// The claim was reaped mid-run and may belong to a new owner now;
-		// this worker must not touch it (or the record) further.
-		w.log.Warn("job orphaned mid-run", "job", rec.ID)
-		w.bumpCounters(0, executed)
-		w.setState("idle", "")
-		return
-	}
-	if v := j.view(); v.Status == StatusCanceled && !w.canceledByUser(j) {
-		// Shutdown-driven cancel: the record keeps its pre-cancel state
-		// (finishWith skipped the journal write), so releasing the claim
-		// requeues the job for a surviving worker.
-		w.log.Info("job released for requeue (worker draining)", "job", rec.ID)
-		w.bumpCounters(0, executed)
-	} else {
+	if finished {
 		w.bumpCounters(1, executed)
+	} else {
+		w.log.Info("job handed back for requeue", "job", rec.ID)
+		w.bumpCounters(0, executed)
 	}
-	w.jl.releaseClaim(rec.ID, w.owner)
 	w.setState("idle", "")
 }
 
@@ -278,48 +257,6 @@ func (w *worker) bumpCounters(jobs, sims int64) {
 	w.jobs += jobs
 	w.sims += sims
 	w.mu.Unlock()
-}
-
-// canceledByUser reports whether the job's cancellation was a client
-// decision (cancel marker honored) rather than worker shutdown.
-func (w *worker) canceledByUser(j *job) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.userCanceled
-}
-
-// finishCanceled writes the terminal canceled record for a job whose
-// cancel marker arrived before execution.
-func (w *worker) finishCanceled(rec jobRecord) {
-	j, _ := w.rebuild(rec)
-	j.markUserCanceled()
-	j.cancel()
-	j.finish(nil, false, 0, context.Canceled)
-	w.jl.clearCancel(rec.ID)
-	w.log.Info("queued job canceled by marker", "job", rec.ID)
-}
-
-// abandon writes the terminal error record for a job that burned its
-// fleet-wide attempt budget.
-func (w *worker) abandon(rec jobRecord) {
-	j, _ := w.rebuild(rec)
-	j.finish(nil, false, 0,
-		fmt.Errorf("abandoned after %d attempts (crash loop): %s", rec.Attempts, rec.Error))
-	w.log.Warn("job abandoned (attempt budget)", "job", rec.ID, "attempts", rec.Attempts)
-}
-
-// rebuild reconstructs an executable job from its journal record — the
-// worker-side mirror of Server.rebuildJob, resolving through the same
-// tables. Even on error a placeholder job is returned so the caller can
-// journal a terminal state.
-func (w *worker) rebuild(rec jobRecord) (*job, error) {
-	b := &jobBuilder{base: w.ctx, extraScales: w.cfg.ExtraScales}
-	j, err := b.build(rec)
-	j.jl = w.jl
-	j.attempts = rec.Attempts
-	j.created = rec.CreatedAt
-	j.owner = w.owner
-	return j, err
 }
 
 // setState records a state transition and lands it immediately (the
